@@ -20,8 +20,10 @@ int main() {
   core::StudyConfig config = benchutil::defaultStudyConfig();
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 64);
   core::Study study(config);
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const vis::KernelProfile& base =
-      study.characterize(core::Algorithm::VolumeRendering, size);
+      study.characterize(ctx, core::Algorithm::VolumeRendering, size);
 
   util::TextTable table;
   table.setHeader({"governor", "quantum(ms)", "cycles", "T(s)", "EffGHz",

@@ -63,10 +63,12 @@ int main() {
   }
   const std::vector<double>& caps = base.capsWatts;
 
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   std::vector<std::vector<core::ConfigRecord>> sweeps;
   for (auto& study : studies) {
     sweeps.push_back(
-        study->capSweep(core::Algorithm::ParticleAdvection, size));
+        study->capSweep(ctx, core::Algorithm::ParticleAdvection, size));
   }
 
   std::cout << "\nIPC by particle count (" << size << "^3 grid, "

@@ -34,6 +34,12 @@ namespace {
 
 using namespace pviz;
 
+// Every benchmark's contexts run on this one hardware-width pool.
+util::ThreadPool& pool() {
+  static util::ThreadPool shared;
+  return shared;
+}
+
 const vis::UniformGrid& grid(vis::Id size) {
   static std::map<vis::Id, vis::UniformGrid> cache;
   auto it = cache.find(size);
@@ -56,7 +62,7 @@ void BM_Contour(benchmark::State& state) {
   filter.setIsovalues(
       vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
   for (auto _ : state) {
-    util::ExecutionContext cold;  // shim semantics: fresh arena per run
+    util::ExecutionContext cold(pool());  // fresh arena per run
     benchmark::DoNotOptimize(
         filter.run(cold, g, "energy").surface.numTriangles());
   }
@@ -65,17 +71,17 @@ void BM_Contour(benchmark::State& state) {
 BENCHMARK(BM_Contour)->Arg(16)->Arg(32);
 
 // Arena-reuse mode: the same kernel over one persistent ExecutionContext.
-// The plain BM_Contour above goes through the compatibility shim, which
-// builds a fresh context — and therefore a cold scratch arena — every
-// run; here the first iteration warms the arena and every repeat is
-// served from the free lists instead of operator new.  Compare against
-// BM_Contour at the same size for the repeat-run speedup.
+// The plain BM_Contour above builds a fresh context — and therefore a
+// cold scratch arena — every run; here the first iteration warms the
+// arena and every repeat is served from the free lists instead of
+// operator new.  Compare against BM_Contour at the same size for the
+// repeat-run speedup.
 void BM_ContourArenaReuse(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
   vis::ContourFilter filter;
   filter.setIsovalues(
       vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -97,7 +103,7 @@ void BM_ContourBlocks(benchmark::State& state) {
   core::AlgorithmParams params;
   params.blockCount = state.range(0);
   params.ghostLayers = 1;
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   for (auto _ : state) {
     ctx.beginRun();
     const vis::KernelProfile profile =
@@ -122,7 +128,7 @@ void BM_Threshold(benchmark::State& state) {
   vis::ThresholdFilter filter;
   filter.setRange(1.2, 2.2);
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     benchmark::DoNotOptimize(filter.run(cold, g, "energy").kept.numCells());
   }
   state.SetItemsProcessed(state.iterations() * g.numCells());
@@ -134,7 +140,7 @@ void BM_ClipSphere(benchmark::State& state) {
   vis::ClipSphereFilter filter;
   filter.setSphere(g.bounds().center(), 0.3);
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     benchmark::DoNotOptimize(
         filter.run(cold, g, "energy").clipped.cutPieces.numTets());
   }
@@ -147,7 +153,7 @@ void BM_Isovolume(benchmark::State& state) {
   vis::IsovolumeFilter filter;
   filter.setRange(1.3, 2.1);
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     benchmark::DoNotOptimize(
         filter.run(cold, g, "energy").cutPieces.numTets());
   }
@@ -159,7 +165,7 @@ void BM_Slice(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
   vis::SliceFilter filter;
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     benchmark::DoNotOptimize(
         filter.run(cold, g, "energy").surface.numTriangles());
   }
@@ -173,7 +179,7 @@ void BM_ParticleAdvection(benchmark::State& state) {
   filter.setSeedCount(state.range(0));
   filter.setMaxSteps(200);
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     benchmark::DoNotOptimize(filter.run(cold, g, "velocity").totalSteps);
   }
 }
@@ -293,7 +299,7 @@ void BM_AdvectFlow(benchmark::State& state, FlowColumn column) {
   filter.setSchedule(column == FlowColumn::StaticChunk
                          ? vis::ParticleAdvectionFilter::Schedule::StaticChunk
                          : vis::ParticleAdvectionFilter::Schedule::WorkSteal);
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   std::int64_t steps = 0;
   for (auto _ : state) {
     ctx.beginRun();
@@ -315,7 +321,7 @@ BENCHMARK_CAPTURE(BM_AdvectFlow, worksteal, FlowColumn::WorkSteal)
 void BM_ExternalFaces(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     benchmark::DoNotOptimize(
         vis::extractExternalFaces(cold, g, "energy").facesFound);
   }
@@ -326,7 +332,7 @@ BENCHMARK(BM_ExternalFaces)->Arg(16)->Arg(32);
 // Arena-reuse counterpart of BM_ExternalFaces (see BM_ContourArenaReuse).
 void BM_ExternalFacesArenaReuse(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -351,7 +357,7 @@ void BM_ContourBackend(benchmark::State& state, exec::BackendKind kind) {
   vis::ContourFilter filter;
   filter.setIsovalues(
       vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   ctx.setBackend(exec::backendFor(kind));
   for (auto _ : state) {
     ctx.beginRun();
@@ -372,7 +378,7 @@ void BM_ThresholdBackend(benchmark::State& state, exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
   vis::ThresholdFilter filter;
   filter.setRange(1.2, 2.2);
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   ctx.setBackend(exec::backendFor(kind));
   for (auto _ : state) {
     ctx.beginRun();
@@ -391,7 +397,7 @@ BENCHMARK_CAPTURE(BM_ThresholdBackend, vectorized,
 void BM_ExternalFacesBackend(benchmark::State& state,
                              exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   ctx.setBackend(exec::backendFor(kind));
   for (auto _ : state) {
     ctx.beginRun();
@@ -413,7 +419,7 @@ void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
   vis::ClipSphereFilter filter;
   filter.setSphere(g.bounds().center(), 0.3);
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   ctx.setBackend(exec::backendFor(kind));
   for (auto _ : state) {
     ctx.beginRun();
@@ -431,11 +437,11 @@ BENCHMARK_CAPTURE(BM_ClipSphereBackend, vectorized,
     ->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_BvhBuild(benchmark::State& state) {
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   const vis::TriangleMesh mesh =
       vis::extractExternalFaces(ctx, grid(state.range(0)), "energy").mesh;
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     vis::Bvh bvh(cold, mesh);
     benchmark::DoNotOptimize(bvh.nodeCount());
   }
@@ -447,7 +453,7 @@ BENCHMARK(BM_BvhBuild)->Arg(16)->Arg(32);
 // a spatial acceleration structure.
 void BM_TraceWithBvh(benchmark::State& state) {
   const vis::UniformGrid& g = grid(16);
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   const vis::TriangleMesh mesh =
       vis::extractExternalFaces(ctx, g, "energy").mesh;
   const vis::Bvh bvh(ctx, mesh);
@@ -467,7 +473,7 @@ BENCHMARK(BM_TraceWithBvh);
 
 void BM_TraceBruteForce(benchmark::State& state) {
   const vis::UniformGrid& g = grid(16);
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   const vis::TriangleMesh mesh =
       vis::extractExternalFaces(ctx, g, "energy").mesh;
   const vis::Bvh bvh(ctx, mesh);
@@ -492,7 +498,7 @@ void BM_VolumeRender(benchmark::State& state) {
   renderer.setImageSize(64, 64);
   renderer.setCameraCount(1);
   for (auto _ : state) {
-    util::ExecutionContext cold;
+    util::ExecutionContext cold(pool());
     benchmark::DoNotOptimize(renderer.run(cold, g, "energy").samplesTaken);
   }
 }
@@ -534,7 +540,7 @@ void BM_ContourTelemetryIdle(benchmark::State& state) {
   vis::ContourFilter filter;
   filter.setIsovalues(
       vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -565,7 +571,7 @@ void BM_ContourTelemetryOn(benchmark::State& state) {
     return tracker;
   }();
   static std::atomic<std::uint64_t> token{1};
-  util::ExecutionContext ctx;
+  util::ExecutionContext ctx(pool());
   for (auto _ : state) {
     ctx.beginRun();
     const std::uint64_t requestToken =

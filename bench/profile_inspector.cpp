@@ -21,6 +21,8 @@ int main() {
   }();
 
   core::Study study(config);
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const arch::CostModel model(config.machine);
 
   benchutil::printBanner("Profile inspector — per-phase cost breakdown",
@@ -28,7 +30,8 @@ int main() {
   std::cout << "size " << size << "^3, core frequency " << ghz << " GHz\n";
 
   for (core::Algorithm algorithm : core::allAlgorithms()) {
-    const vis::KernelProfile& profile = study.characterize(algorithm, size);
+    const vis::KernelProfile& profile =
+        study.characterize(ctx, algorithm, size);
     const arch::KernelCost cost = model.kernelCost(profile, ghz);
 
     std::cout << '\n'

@@ -14,6 +14,8 @@ namespace pviz::benchutil {
 inline int runAllAlgorithmsTable(vis::Id size) {
   core::StudyConfig config = defaultStudyConfig();
   core::Study study(config);
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
 
   util::TextTable table;
   {
@@ -32,7 +34,7 @@ inline int runAllAlgorithmsTable(vis::Id size) {
   }
 
   for (core::Algorithm algorithm : core::allAlgorithms()) {
-    const auto sweep = study.capSweep(algorithm, size);
+    const auto sweep = study.capSweep(ctx, algorithm, size);
     std::vector<double> tRatios, fRatios;
     for (const auto& r : sweep) {
       tRatios.push_back(r.ratios.tRatio);

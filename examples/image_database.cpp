@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
   const auto [lo, hi] = g.field("energy").range();
   // One context for all eight kernels: the scratch arena warmed by the
   // first filter serves the rest.
-  util::ExecutionContext ctx;
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
 
   {  // (a) contour
     ctx.beginRun();

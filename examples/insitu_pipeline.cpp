@@ -37,7 +37,8 @@ int main() {
   util::TextTable table;
   table.setHeader({"Scenario", "Total(s)", "Viz share", "Avg power(W)",
                    "Energy(kJ)"});
-  util::ExecutionContext ctx;
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   for (const Scenario& scenario : scenarios) {
     config.simCapWatts = scenario.simCap;
     config.vizCapWatts = scenario.vizCap;

@@ -25,7 +25,8 @@ int main() {
   vis::ContourFilter contour;
   contour.setIsovalues(
       vis::ContourFilter::uniformIsovalues(dataset.field("energy"), 10));
-  util::ExecutionContext ctx;
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const vis::ContourFilter::Result result = contour.run(ctx, dataset, "energy");
   std::cout << "contour produced " << result.surface.numTriangles()
             << " triangles over 10 isovalues\n\n";

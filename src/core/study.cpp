@@ -54,12 +54,6 @@ const vis::UniformGrid& Study::dataset(vis::Id size) {
   return *it->second;
 }
 
-const vis::KernelProfile& Study::characterize(Algorithm algorithm,
-                                              vis::Id size) {
-  util::ExecutionContext ctx;
-  return characterize(ctx, algorithm, size);
-}
-
 const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
                                               Algorithm algorithm,
                                               vis::Id size) {
@@ -150,37 +144,15 @@ vis::KernelProfile Study::characterizeWith(util::ExecutionContext& ctx,
   return profile;
 }
 
-Measurement Study::measure(Algorithm algorithm, vis::Id size,
-                           double capWatts) {
-  util::ExecutionContext ctx;
-  return measure(ctx, algorithm, size, capWatts, config_.cycles);
-}
-
 Measurement Study::measure(util::ExecutionContext& ctx, Algorithm algorithm,
                            vis::Id size, double capWatts) {
   return measure(ctx, algorithm, size, capWatts, config_.cycles);
-}
-
-Measurement Study::measure(Algorithm algorithm, vis::Id size, double capWatts,
-                           int cycles) {
-  util::ExecutionContext ctx;
-  return measure(ctx, algorithm, size, capWatts, cycles);
 }
 
 Measurement Study::measure(util::ExecutionContext& ctx, Algorithm algorithm,
                            vis::Id size, double capWatts, int cycles) {
   PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
   const vis::KernelProfile& once = characterize(ctx, algorithm, size);
-  return modelProfile(ctx, algorithm, once, capWatts, cycles);
-}
-
-Measurement Study::measureWith(util::ExecutionContext& ctx,
-                               Algorithm algorithm, vis::Id size,
-                               double capWatts, int cycles,
-                               const AlgorithmParams& params) {
-  PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
-  const vis::KernelProfile once =
-      characterizeWith(ctx, algorithm, size, params);
   return modelProfile(ctx, algorithm, once, capWatts, cycles);
 }
 
@@ -194,21 +166,9 @@ Measurement Study::modelProfile(util::ExecutionContext& ctx,
   return simulator_.run(scaled, capWatts, &ctx.cancel());
 }
 
-std::vector<ConfigRecord> Study::capSweep(Algorithm algorithm, vis::Id size) {
-  util::ExecutionContext ctx;
-  return capSweep(ctx, algorithm, size, config_.capsWatts, config_.cycles);
-}
-
 std::vector<ConfigRecord> Study::capSweep(util::ExecutionContext& ctx,
                                           Algorithm algorithm, vis::Id size) {
   return capSweep(ctx, algorithm, size, config_.capsWatts, config_.cycles);
-}
-
-std::vector<ConfigRecord> Study::capSweep(Algorithm algorithm, vis::Id size,
-                                          const std::vector<double>& capsWatts,
-                                          int cycles) {
-  util::ExecutionContext ctx;
-  return capSweep(ctx, algorithm, size, capsWatts, cycles);
 }
 
 std::vector<ConfigRecord> Study::capSweep(util::ExecutionContext& ctx,
@@ -241,7 +201,7 @@ std::vector<ConfigRecord> Study::capSweepWith(
   PVIZ_REQUIRE(!capsWatts.empty(), "cap sweep needs at least one cap");
   PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
   // Characterize once; the per-cap loop only touches the package model
-  // (characterizeWith has no in-memory memo, so calling measureWith per
+  // (characterizeWith has no in-memory memo, so characterizing per
   // cap would re-run the kernel for every cap).
   const vis::KernelProfile once =
       characterizeWith(ctx, algorithm, size, params);
@@ -261,45 +221,6 @@ std::vector<ConfigRecord> Study::capSweepWith(
     records.push_back(std::move(record));
   }
   return records;
-}
-
-std::vector<ConfigRecord> Study::runPhase1() {
-  util::ExecutionContext ctx;
-  return runPhase1(ctx);
-}
-
-std::vector<ConfigRecord> Study::runPhase1(util::ExecutionContext& ctx) {
-  return capSweep(ctx, Algorithm::Contour, 128);
-}
-
-std::vector<ConfigRecord> Study::runPhase2() {
-  util::ExecutionContext ctx;
-  return runPhase2(ctx);
-}
-
-std::vector<ConfigRecord> Study::runPhase2(util::ExecutionContext& ctx) {
-  std::vector<ConfigRecord> all;
-  for (Algorithm algorithm : allAlgorithms()) {
-    auto sweep = capSweep(ctx, algorithm, 128);
-    all.insert(all.end(), sweep.begin(), sweep.end());
-  }
-  return all;
-}
-
-std::vector<ConfigRecord> Study::runPhase3() {
-  util::ExecutionContext ctx;
-  return runPhase3(ctx);
-}
-
-std::vector<ConfigRecord> Study::runPhase3(util::ExecutionContext& ctx) {
-  std::vector<ConfigRecord> all;
-  for (vis::Id size : config_.sizes) {
-    for (Algorithm algorithm : allAlgorithms()) {
-      auto sweep = capSweep(ctx, algorithm, size);
-      all.insert(all.end(), sweep.begin(), sweep.end());
-    }
-  }
-  return all;
 }
 
 // --- On-disk characterization cache -------------------------------------
@@ -358,17 +279,22 @@ std::map<std::string, vis::KernelProfile> loadProfileCache(
     std::size_t phaseCount = 0;
     vis::KernelProfile profile;
     in >> key >> kernel >> profile.elements >> phaseCount;
+    PVIZ_REQUIRE(!in.fail(), "corrupt profile cache: truncated entry");
     profile.kernel = kernel;
+    // The stream is checked after every phase line: a phase count larger
+    // than the lines that follow must fail at the first missing line,
+    // not append default phases until allocation fails.
     for (std::size_t p = 0; p < phaseCount; ++p) {
       in >> tag;
-      PVIZ_REQUIRE(tag == "phase", "corrupt profile cache: expected 'phase'");
+      PVIZ_REQUIRE(!in.fail() && tag == "phase",
+                   "corrupt profile cache: expected 'phase'");
       vis::WorkProfile ph;
       in >> ph.name >> ph.flops >> ph.intOps >> ph.memOps >>
           ph.bytesStreamed >> ph.bytesReused >> ph.irregularAccesses >>
           ph.workingSetBytes >> ph.parallelFraction >> ph.overlap;
+      PVIZ_REQUIRE(!in.fail(), "corrupt profile cache: truncated phase");
       profile.phases.push_back(std::move(ph));
     }
-    PVIZ_REQUIRE(in.good() || in.eof(), "corrupt profile cache");
     entries.emplace(std::move(key), std::move(profile));
   }
   return entries;

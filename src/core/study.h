@@ -73,7 +73,6 @@ class Study {
   /// untouched (a later uncancelled call re-runs from scratch).
   const vis::KernelProfile& characterize(util::ExecutionContext& ctx,
                                          Algorithm algorithm, vis::Id size);
-  const vis::KernelProfile& characterize(Algorithm algorithm, vis::Id size);
 
   /// Characterize with request-supplied parameter overrides (the service
   /// layer's per-request advection knobs).  Shares the memoized dataset
@@ -89,30 +88,17 @@ class Study {
   /// repeated for the configured cycle count).
   Measurement measure(util::ExecutionContext& ctx, Algorithm algorithm,
                       vis::Id size, double capWatts);
-  Measurement measure(Algorithm algorithm, vis::Id size, double capWatts);
   /// Same, overriding the configured cycle count (the service layer
   /// evaluates per-request cycle counts against one shared Study).
   Measurement measure(util::ExecutionContext& ctx, Algorithm algorithm,
                       vis::Id size, double capWatts, int cycles);
-  Measurement measure(Algorithm algorithm, vis::Id size, double capWatts,
-                      int cycles);
-
-  /// Measure with request-supplied parameter overrides (see
-  /// characterizeWith — shares the disk cache, not the in-memory memo).
-  Measurement measureWith(util::ExecutionContext& ctx, Algorithm algorithm,
-                          vis::Id size, double capWatts, int cycles,
-                          const AlgorithmParams& params);
 
   /// All caps for one (algorithm, size); ratios are against caps[0].
   std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
                                      Algorithm algorithm, vis::Id size);
-  std::vector<ConfigRecord> capSweep(Algorithm algorithm, vis::Id size);
   /// Same, overriding the configured cap list and cycle count.
   std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
                                      Algorithm algorithm, vis::Id size,
-                                     const std::vector<double>& capsWatts,
-                                     int cycles);
-  std::vector<ConfigRecord> capSweep(Algorithm algorithm, vis::Id size,
                                      const std::vector<double>& capsWatts,
                                      int cycles);
   /// Cap sweep with request-supplied parameter overrides.  The kernel
@@ -126,16 +112,6 @@ class Study {
                                          int cycles,
                                          const AlgorithmParams& params);
 
-  /// Phase 1: contour at 128^3 across all caps (9 tests).
-  std::vector<ConfigRecord> runPhase1(util::ExecutionContext& ctx);
-  std::vector<ConfigRecord> runPhase1();
-  /// Phase 2: all algorithms at 128^3 across all caps (72 tests).
-  std::vector<ConfigRecord> runPhase2(util::ExecutionContext& ctx);
-  std::vector<ConfigRecord> runPhase2();
-  /// Phase 3: the full matrix (288 tests at full scope).
-  std::vector<ConfigRecord> runPhase3(util::ExecutionContext& ctx);
-  std::vector<ConfigRecord> runPhase3();
-
   /// The dataset used for characterization at `size` (memoized).
   const vis::UniformGrid& dataset(vis::Id size);
 
@@ -146,7 +122,7 @@ class Study {
 
   /// Model one characterized cycle profile under a cap: work-scale,
   /// repeat for `cycles`, simulate.  The shared tail of measure and
-  /// measureWith.
+  /// capSweepWith.
   Measurement modelProfile(util::ExecutionContext& ctx, Algorithm algorithm,
                            const vis::KernelProfile& once, double capWatts,
                            int cycles);

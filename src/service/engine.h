@@ -66,9 +66,6 @@ class ServiceEngine {
   /// result cache (the put happens only after execution completes).
   Outcome handle(util::ExecutionContext& ctx, const Request& request);
 
-  /// Compatibility shim: run on a fresh context over the global pool.
-  Outcome handle(const Request& request);
-
   /// Fill engine defaults into a request (caps, sizes, cycles, steps).
   Request normalize(const Request& request) const;
 

@@ -386,8 +386,10 @@ bool Server::tryEnqueue(Task task) {
 void Server::workerLoop() {
   // One long-lived context per worker: the scratch arena warms up over
   // the worker's lifetime and is reused across requests; the cancel
-  // token is reset and re-armed per request in process().
-  util::ExecutionContext ctx;
+  // token is reset and re-armed per request in process().  Every worker
+  // runs its kernels on the one process pool, whose admission mutex
+  // serializes concurrent loops.
+  util::ExecutionContext ctx(util::ThreadPool::global());
   for (;;) {
     Task task;
     {

@@ -1,11 +1,13 @@
 // Explicit execution environment threaded through every kernel layer.
 //
-// Instead of each filter reaching into the ThreadPool::global() singleton
-// and allocating fresh scratch arrays per run, callers build one
-// ExecutionContext per sweep (or per service request) and hand it down
-// the stack — the in-situ infrastructure pattern of SENSEI/Ascent, where
-// the execution environment is an object, not ambient process state.
-// The context bundles:
+// Instead of each filter reaching into a process-wide pool and
+// allocating fresh scratch arrays per run, callers build one
+// ExecutionContext per sweep (or per service request worker) over a
+// pool they name, and hand it down the stack — the in-situ
+// infrastructure pattern of SENSEI/Ascent, where the execution
+// environment is an object, not ambient process state.  Every kernel
+// entry point takes a context; there is no context-free overload and
+// no default-constructed context.  The context bundles:
 //
 //   * ThreadPool&    — the pool the run's loops execute on
 //   * ScratchArena   — pooled scratch buffers keyed by power-of-two size
@@ -302,13 +304,9 @@ class PhaseTracer {
 /// The execution environment handed down the stack.  See file comment.
 class ExecutionContext {
  public:
-  /// Compatibility shim: a context over the process-global pool.  This
-  /// constructor is the ONE sanctioned production use of
-  /// ThreadPool::global() outside thread_pool.cpp — the legacy
-  /// context-free kernel entry points forward through it.
-  ExecutionContext() : pool_(&ThreadPool::global()) {}
-
-  /// A context over an explicitly owned pool (tests, service workers).
+  /// A context over the pool its loops run on.  There is no default:
+  /// every caller names its pool, so the resources a run is charged to
+  /// are visible at the call site.
   explicit ExecutionContext(ThreadPool& pool) : pool_(&pool) {}
 
   ExecutionContext(const ExecutionContext&) = delete;

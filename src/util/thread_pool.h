@@ -1,12 +1,14 @@
 // A small, dependency-free thread pool with blocked-range parallel loops.
 //
 // This is PowerViz's stand-in for Intel TBB (which the paper used through
-// VTK-m's TBB device adapter).  It provides the three primitives the
-// visualization kernels need:
+// VTK-m's TBB device adapter).  It provides two things:
 //
 //   * parallelFor(begin, end, grain, f)   — f(chunkBegin, chunkEnd)
-//   * parallelReduce(begin, end, id, map, combine)
-//   * scheduler-wide worker count query (used by the performance model)
+//   * concurrency()                       — threads that join a loop
+//
+// Kernels never call the pool directly: they run on an ExecutionContext
+// built over a pool, and the primitives in util/parallel.h (for, reduce,
+// scan, select, gather) dispatch through the context's backend onto it.
 //
 // Work is divided into fixed chunks handed out from an atomic cursor, so
 // imbalanced iterations (e.g. marching-cubes cells with wildly different
@@ -65,11 +67,13 @@ class ThreadPool {
         });
   }
 
-  /// The process-wide pool behind the compatibility shims (the
-  /// context-free parallelFor overloads and ExecutionContext's default
-  /// constructor).  New code should run on an ExecutionContext over an
-  /// explicit pool instead; tests pin pool sizes by constructing
-  /// `ThreadPool pool(n); ExecutionContext ctx(pool);`.
+  /// The process-wide pool.  Two kinds of caller use it: a process
+  /// entry point that wants one pool for its whole lifetime (the
+  /// service's request workers and powerviz_study build
+  /// `ExecutionContext ctx(ThreadPool::global())`), and the
+  /// context-free util::parallelFor that the proxy simulation calls.
+  /// Libraries never reach it on their own; tests and benches own
+  /// their pools (`ThreadPool pool(n); ExecutionContext ctx(pool);`).
   static ThreadPool& global();
 
  private:

@@ -124,13 +124,6 @@ void clipTetrahedron(const Vec3 pos[4], const double clip[4],
   }
 }
 
-ClipResult clipUniformGrid(const UniformGrid& grid,
-                           const std::vector<double>& clipScalar,
-                           const std::vector<double>& carried) {
-  util::ExecutionContext ctx;
-  return clipUniformGrid(ctx, grid, clipScalar, carried);
-}
-
 ClipResult clipUniformGrid(util::ExecutionContext& ctx,
                            const UniformGrid& grid,
                            std::span<const double> clipScalar,
@@ -295,12 +288,6 @@ ClipResult clipUniformGrid(util::ExecutionContext& ctx,
       },
       /*grain=*/256);
   return result;
-}
-
-TetMesh clipTetMesh(const TetMesh& mesh,
-                    const std::vector<double>& clipScalar) {
-  util::ExecutionContext ctx;
-  return clipTetMesh(ctx, mesh, clipScalar);
 }
 
 TetMesh clipTetMesh(util::ExecutionContext& ctx, const TetMesh& mesh,

@@ -13,8 +13,6 @@
 // Convention: points with clip scalar >= 0 are KEPT.
 #pragma once
 
-#include "util/compat.h"
-
 #include <functional>
 #include <span>
 #include <vector>
@@ -48,21 +46,10 @@ ClipResult clipUniformGrid(util::ExecutionContext& ctx,
                            std::span<const double> clipScalar,
                            std::span<const double> carried);
 
-/// Compatibility shim: run on a fresh context over the global pool.
-PVIZ_CONTEXT_SHIM
-ClipResult clipUniformGrid(const UniformGrid& grid,
-                           const std::vector<double>& clipScalar,
-                           const std::vector<double>& carried);
-
 /// Clip an existing tet mesh by a per-point clip scalar (keep >= 0).
 /// Carried scalars on the input mesh are interpolated onto cut vertices.
 TetMesh clipTetMesh(util::ExecutionContext& ctx, const TetMesh& mesh,
                     std::span<const double> clipScalar);
-
-/// Compatibility shim: run on a fresh context over the global pool.
-PVIZ_CONTEXT_SHIM
-TetMesh clipTetMesh(const TetMesh& mesh,
-                    const std::vector<double>& clipScalar);
 
 /// Clip a single tetrahedron; appends kept tets to `out`.
 /// `pos`/`clip`/`carry` give the four vertices.  Exposed for testing.

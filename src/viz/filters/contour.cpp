@@ -48,12 +48,6 @@ EdgeVertex interpolateEdge(const Vec3 cornerPos[8], int edge,
 
 }  // namespace
 
-ContourFilter::Result ContourFilter::run(const UniformGrid& grid,
-                                         const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
 ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
                                          const UniformGrid& grid,
                                          const std::string& fieldName) const {

@@ -6,12 +6,6 @@
 namespace pviz::vis {
 
 GradientFilter::Result GradientFilter::run(
-    const UniformGrid& grid, const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
-GradientFilter::Result GradientFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = grid.field(fieldName);
@@ -73,12 +67,13 @@ GradientFilter::Result GradientFilter::run(
   return result;
 }
 
-Field vectorMagnitude(const Field& vectors, const std::string& outputName) {
+Field vectorMagnitude(util::ExecutionContext& ctx, const Field& vectors,
+                      const std::string& outputName) {
   PVIZ_REQUIRE(vectors.components() == 3,
                "vectorMagnitude needs a 3-component field");
   Field out = Field::zeros(outputName, vectors.association(), 1,
                            vectors.count());
-  util::parallelFor(0, vectors.count(), [&](Id p) {
+  util::parallelFor(ctx, 0, vectors.count(), [&](Id p) {
     out.setScalar(p, length(vectors.vec3(p)));
   });
   return out;

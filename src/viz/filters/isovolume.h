@@ -7,8 +7,6 @@
 // tet pieces produced by the first).
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 
 #include "viz/filters/clip_common.h"
@@ -45,10 +43,6 @@ class IsovolumeFilter {
 
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   double lo_ = 0.0;

@@ -8,12 +8,6 @@
 namespace pviz::vis {
 
 ThresholdFilter::Result ThresholdFilter::run(
-    const UniformGrid& grid, const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
-ThresholdFilter::Result ThresholdFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = grid.field(fieldName);

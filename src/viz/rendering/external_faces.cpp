@@ -23,12 +23,6 @@ constexpr int kFaceCorners[6][4] = {
 
 }  // namespace
 
-ExternalFacesResult extractExternalFaces(const UniformGrid& grid,
-                                         const std::string& fieldName) {
-  util::ExecutionContext ctx;
-  return extractExternalFaces(ctx, grid, fieldName);
-}
-
 ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
                                          const UniformGrid& grid,
                                          const std::string& fieldName) {

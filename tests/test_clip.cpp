@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "util/exec_context.h"
 #include "util/rng.h"
 #include "viz/filters/clip_common.h"
 #include "viz/filters/clip_sphere.h"
@@ -129,6 +130,8 @@ UniformGrid gridWithField(Id cells) {
 }
 
 TEST(ClipUniformGrid, PlaneClipVolumeIsExact) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const Id n = 8;
   const UniformGrid g = gridWithField(n);
   // Keep x >= 0.4 (a plane between cell boundaries).
@@ -137,7 +140,7 @@ TEST(ClipUniformGrid, PlaneClipVolumeIsExact) {
     clip[static_cast<std::size_t>(p)] = g.pointPosition(p).x - 0.4;
   }
   const ClipResult result =
-      clipUniformGrid(g, clip, g.field("x").data());
+      clipUniformGrid(ctx, g, clip, g.field("x").data());
   const double cellVol = 1.0 / (n * n * n);
   const double total =
       static_cast<double>(result.wholeCells.numCells()) * cellVol +
@@ -148,24 +151,28 @@ TEST(ClipUniformGrid, PlaneClipVolumeIsExact) {
 }
 
 TEST(ClipUniformGrid, ClassifiesCountsConsistently) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = gridWithField(6);
   std::vector<double> clip(static_cast<std::size_t>(g.numPoints()), 1.0);
-  const ClipResult all = clipUniformGrid(g, clip, g.field("x").data());
+  const ClipResult all = clipUniformGrid(ctx, g, clip, g.field("x").data());
   EXPECT_EQ(all.cellsIn, g.numCells());
   EXPECT_EQ(all.cutPieces.numTets(), 0);
   std::fill(clip.begin(), clip.end(), -1.0);
-  const ClipResult none = clipUniformGrid(g, clip, g.field("x").data());
+  const ClipResult none = clipUniformGrid(ctx, g, clip, g.field("x").data());
   EXPECT_EQ(none.cellsOut, g.numCells());
   EXPECT_EQ(none.wholeCells.numCells(), 0);
 }
 
 TEST(ClipSphere, CulledVolumeMatchesSphereVolume) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const Id n = 24;
   UniformGrid g = gridWithField(n);
   ClipSphereFilter filter;
   const double r = 0.3;
   filter.setSphere({0.5, 0.5, 0.5}, r);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   const double cellVol = 1.0 / (static_cast<double>(n) * n * n);
   const double kept =
       static_cast<double>(result.clipped.wholeCells.numCells()) * cellVol +
@@ -175,20 +182,24 @@ TEST(ClipSphere, CulledVolumeMatchesSphereVolume) {
 }
 
 TEST(ClipSphere, SphereOutsideDomainKeepsEverything) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   UniformGrid g = gridWithField(5);
   ClipSphereFilter filter;
   filter.setSphere({10, 10, 10}, 0.5);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_EQ(result.clipped.cellsIn, g.numCells());
   EXPECT_EQ(result.clipped.cellsCut, 0);
 }
 
 TEST(ClipSphere, ProfileAndParamValidation) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   UniformGrid g = gridWithField(5);
   ClipSphereFilter filter;
   EXPECT_THROW(filter.setSphere({0, 0, 0}, -1.0), Error);
   filter.setSphere({0.5, 0.5, 0.5}, 0.25);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_EQ(result.profile.kernel, "spherical-clip");
   EXPECT_EQ(result.profile.phases.size(), 4u);
   EXPECT_EQ(result.profile.elements, g.numCells());
@@ -197,18 +208,20 @@ TEST(ClipSphere, ProfileAndParamValidation) {
 TEST(ClipTetMesh, ReclipsCarriedScalars) {
   // Build a small tet mesh by clipping, then clip it again by the
   // carried scalar; all surviving vertices must satisfy the bound.
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = gridWithField(6);
   std::vector<double> clip(static_cast<std::size_t>(g.numPoints()));
   for (Id p = 0; p < g.numPoints(); ++p) {
     clip[static_cast<std::size_t>(p)] = g.pointPosition(p).x - 0.5;
   }
-  const ClipResult first = clipUniformGrid(g, clip, g.field("x").data());
+  const ClipResult first = clipUniformGrid(ctx, g, clip, g.field("x").data());
   ASSERT_GT(first.cutPieces.numTets(), 0);
   std::vector<double> second(first.cutPieces.pointScalars.size());
   for (std::size_t i = 0; i < second.size(); ++i) {
     second[i] = 0.55 - first.cutPieces.pointScalars[i];  // keep x <= 0.55
   }
-  const TetMesh reclipped = clipTetMesh(first.cutPieces, second);
+  const TetMesh reclipped = clipTetMesh(ctx, first.cutPieces, second);
   for (const auto& p : reclipped.points) {
     ASSERT_GE(p.x, 0.5 - 1e-9);
     ASSERT_LE(p.x, 0.55 + 1e-9);

@@ -99,7 +99,8 @@ TEST(BackendDispatch, EmptyRangeRunsNothing) {
 }
 
 TEST(ExecutionContextBackend, DefaultsAndSwaps) {
-  util::ExecutionContext ctx;
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   EXPECT_EQ(&ctx.backend(), &exec::defaultBackend());
   ctx.setBackend(exec::serialBackend());
   EXPECT_EQ(&ctx.backend(), &exec::serialBackend());
@@ -122,7 +123,8 @@ TEST(ExecutionContextBackend, PrimitivesMatchAcrossBackends) {
   // backend (the filter-level equivalence lives in the determinism
   // suite; this is the primitive-level contract).
   constexpr std::int64_t kN = 100'000;
-  util::ExecutionContext reference;
+  util::ThreadPool pool;
+  util::ExecutionContext reference(pool);
   reference.setBackend(exec::serialBackend());
 
   std::vector<std::int64_t> counts(kN);
@@ -141,7 +143,7 @@ TEST(ExecutionContextBackend, PrimitivesMatchAcrossBackends) {
       [](double a, double b) { return a + b; });
 
   for (BackendKind kind : {BackendKind::Threaded, BackendKind::Vectorized}) {
-    util::ExecutionContext ctx;
+    util::ExecutionContext ctx(pool);
     ctx.setBackend(exec::backendFor(kind));
     std::vector<std::int64_t> scan = counts;
     EXPECT_EQ(util::exclusiveScan(ctx, scan), refTotal);

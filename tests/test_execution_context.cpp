@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 
 #include "core/study.h"
 #include "service/engine.h"
@@ -34,6 +35,10 @@ using util::ExecutionContext;
 using util::ScratchArena;
 using util::ScratchVector;
 using util::ThreadPool;
+
+// Every context names the pool it runs on: there is no default-built
+// context over a hidden process pool.
+static_assert(!std::is_default_constructible_v<ExecutionContext>);
 
 // ---- ScratchArena -------------------------------------------------------
 

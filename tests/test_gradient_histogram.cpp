@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "util/exec_context.h"
 #include "viz/filters/gradient.h"
 #include "viz/filters/histogram.h"
 
@@ -21,9 +22,11 @@ UniformGrid linearField(Id cells, double a, double b, double c, double d) {
 }
 
 TEST(Gradient, ExactOnLinearFields) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = linearField(8, 3.0, -2.0, 0.5, 7.0);
   GradientFilter filter;
-  const auto result = filter.run(g, "f");
+  const auto result = filter.run(ctx, g, "f");
   ASSERT_EQ(result.gradient.count(), g.numPoints());
   ASSERT_EQ(result.gradient.components(), 3);
   // Central AND one-sided differences are exact on linear fields.
@@ -38,7 +41,9 @@ TEST(Gradient, ExactOnLinearFields) {
 
 TEST(Gradient, SecondOrderInTheInterior) {
   // On f = sin(2πx), central differences converge at O(h²).
-  auto interiorError = [](Id cells) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
+  auto interiorError = [&ctx](Id cells) {
     UniformGrid g = UniformGrid::cube(cells);
     Field f = Field::zeros("s", Association::Points, 1, g.numPoints());
     for (Id p = 0; p < g.numPoints(); ++p) {
@@ -46,7 +51,7 @@ TEST(Gradient, SecondOrderInTheInterior) {
     }
     g.addField(std::move(f));
     GradientFilter filter;
-    const auto result = filter.run(g, "s");
+    const auto result = filter.run(ctx, g, "s");
     double maxErr = 0.0;
     for (Id p = 0; p < g.numPoints(); ++p) {
       const Id3 ijk = g.pointIjk(p);
@@ -65,18 +70,22 @@ TEST(Gradient, SecondOrderInTheInterior) {
 }
 
 TEST(Gradient, RejectsWrongFieldKinds) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   UniformGrid g = UniformGrid::cube(3);
   g.addField(Field::zeros("v", Association::Points, 3, g.numPoints()));
   g.addField(Field::zeros("c", Association::Cells, 1, g.numCells()));
   GradientFilter filter;
-  EXPECT_THROW(filter.run(g, "v"), Error);
-  EXPECT_THROW(filter.run(g, "c"), Error);
+  EXPECT_THROW(filter.run(ctx, g, "v"), Error);
+  EXPECT_THROW(filter.run(ctx, g, "c"), Error);
 }
 
 TEST(Gradient, ProfileIsStreaming) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = linearField(8, 1, 1, 1, 0);
   GradientFilter filter;
-  const auto result = filter.run(g, "f");
+  const auto result = filter.run(ctx, g, "f");
   ASSERT_EQ(result.profile.phases.size(), 1u);
   EXPECT_GT(result.profile.phases[0].bytesStreamed, 0.0);
   EXPECT_LT(result.profile.phases[0].flops /
@@ -85,21 +94,25 @@ TEST(Gradient, ProfileIsStreaming) {
 }
 
 TEST(VectorMagnitude, ComputesLengths) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   Field v = Field::zeros("v", Association::Points, 3, 3);
   v.setVec3(0, {3, 4, 0});
   v.setVec3(1, {0, 0, 0});
   v.setVec3(2, {1, 2, 2});
-  const Field mag = vectorMagnitude(v, "speed");
+  const Field mag = vectorMagnitude(ctx, v, "speed");
   EXPECT_EQ(mag.name(), "speed");
   EXPECT_EQ(mag.components(), 1);
   EXPECT_DOUBLE_EQ(mag.value(0), 5.0);
   EXPECT_DOUBLE_EQ(mag.value(1), 0.0);
   EXPECT_DOUBLE_EQ(mag.value(2), 3.0);
   Field scalar("s", Association::Points, 1, {1.0});
-  EXPECT_THROW(vectorMagnitude(scalar, "x"), Error);
+  EXPECT_THROW(vectorMagnitude(ctx, scalar, "x"), Error);
 }
 
 TEST(Histogram, UniformRampFillsBinsEvenly) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   std::vector<double> data(1000);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i);
@@ -107,7 +120,7 @@ TEST(Histogram, UniformRampFillsBinsEvenly) {
   Field f("f", Association::Points, 1, std::move(data));
   HistogramFilter filter;
   filter.setBinCount(10);
-  const auto result = filter.run(f);
+  const auto result = filter.run(ctx, f);
   const Histogram& h = result.histogram;
   EXPECT_EQ(h.totalCount(), 1000);
   ASSERT_EQ(h.bins.size(), 10u);
@@ -120,6 +133,8 @@ TEST(Histogram, UniformRampFillsBinsEvenly) {
 }
 
 TEST(Histogram, QuantilesOfAUniformRamp) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   std::vector<double> data(10000);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i) / 9999.0;
@@ -127,7 +142,7 @@ TEST(Histogram, QuantilesOfAUniformRamp) {
   Field f("f", Association::Points, 1, std::move(data));
   HistogramFilter filter;
   filter.setBinCount(100);
-  const Histogram h = filter.run(f).histogram;
+  const Histogram h = filter.run(ctx, f).histogram;
   EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
   EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
   EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
@@ -136,20 +151,24 @@ TEST(Histogram, QuantilesOfAUniformRamp) {
 }
 
 TEST(Histogram, ConstantFieldLandsInOneBin) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   Field f("f", Association::Cells, 1, std::vector<double>(64, 3.0));
   HistogramFilter filter;
   filter.setBinCount(8);
-  const Histogram h = filter.run(f).histogram;
+  const Histogram h = filter.run(ctx, f).histogram;
   EXPECT_EQ(h.totalCount(), 64);
   EXPECT_EQ(h.bins[0], 64);  // degenerate range collapses to bin 0
 }
 
 TEST(Histogram, VectorFieldUsesFirstComponent) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   Field v("v", Association::Points, 3,
           {1.0, 100.0, 100.0, 2.0, 100.0, 100.0});
   HistogramFilter filter;
   filter.setBinCount(2);
-  const Histogram h = filter.run(v).histogram;
+  const Histogram h = filter.run(ctx, v).histogram;
   EXPECT_EQ(h.totalCount(), 2);
   EXPECT_DOUBLE_EQ(h.lo, 1.0);
   EXPECT_DOUBLE_EQ(h.hi, 2.0);

@@ -155,20 +155,26 @@ std::int64_t serialScanReference(std::vector<std::int64_t>& counts) {
 }
 
 TEST(ExclusiveScan, EmptyArray) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   std::vector<std::int64_t> counts;
-  EXPECT_EQ(util::exclusiveScan(counts), 0);
+  EXPECT_EQ(util::exclusiveScan(ctx, counts), 0);
   EXPECT_TRUE(counts.empty());
 }
 
 TEST(ExclusiveScan, SingleElement) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   std::vector<std::int64_t> counts{7};
-  EXPECT_EQ(util::exclusiveScan(counts), 7);
+  EXPECT_EQ(util::exclusiveScan(ctx, counts), 7);
   EXPECT_EQ(counts[0], 0);
 }
 
 TEST(ExclusiveScan, AllZeros) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   std::vector<std::int64_t> counts(100000, 0);
-  EXPECT_EQ(util::exclusiveScan(counts), 0);
+  EXPECT_EQ(util::exclusiveScan(ctx, counts), 0);
   for (std::int64_t c : counts) EXPECT_EQ(c, 0);
 }
 
@@ -589,9 +595,11 @@ TEST(KernelDeterminism, BvhParallelBuildMatchesSerial) {
   // 32^3 external faces → 12288 triangles, past the parallel-build
   // threshold, so the skeleton-split + subtree-task path actually runs
   // when the pool has more than one participant.
+  util::ThreadPool refPool;
+  util::ExecutionContext refCtx(refPool);
   const UniformGrid g = sim::makeCloverField(32);
-  const TriangleMesh mesh = extractExternalFaces(g, "energy").mesh;
-  const Bvh serial(mesh, /*maxLeafSize=*/4, /*parallelBuild=*/false);
+  const TriangleMesh mesh = extractExternalFaces(refCtx, g, "energy").mesh;
+  const Bvh serial(refCtx, mesh, /*maxLeafSize=*/4, /*parallelBuild=*/false);
   for (unsigned workers : poolSizes()) {
     util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);

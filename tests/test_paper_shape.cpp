@@ -17,6 +17,7 @@
 #include <map>
 
 #include "core/study.h"
+#include "util/exec_context.h"
 
 namespace pviz::core {
 namespace {
@@ -43,7 +44,11 @@ class PaperShape : public ::testing::Test {
   static const std::vector<ConfigRecord>& sweep(Algorithm algorithm) {
     static std::map<int, std::vector<ConfigRecord>> cache;
     auto [it, fresh] = cache.try_emplace(static_cast<int>(algorithm));
-    if (fresh) it->second = study().capSweep(algorithm, 48);
+    if (fresh) {
+      util::ThreadPool pool;
+      util::ExecutionContext ctx(pool);
+      it->second = study().capSweep(ctx, algorithm, 48);
+    }
     return it->second;
   }
 
@@ -155,19 +160,21 @@ TEST_F(PaperShape, MeasuredIpcFallsUnderDeepCapsViaRefCycles) {
 }
 
 TEST_F(PaperShape, AdvectionIpcIsSizeInvariantCellCentricIpcGrows) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   Study& s = study();
   const double pa16 =
-      s.measure(Algorithm::ParticleAdvection, 16, 120.0).ipc;
+      s.measure(ctx, Algorithm::ParticleAdvection, 16, 120.0).ipc;
   const double pa48 =
-      s.measure(Algorithm::ParticleAdvection, 48, 120.0).ipc;
+      s.measure(ctx, Algorithm::ParticleAdvection, 48, 120.0).ipc;
   EXPECT_NEAR(pa16, pa48, 0.35 * std::max(pa16, pa48));  // Fig. 6
 
-  const double contour16 = s.measure(Algorithm::Contour, 16, 120.0).ipc;
-  const double contour48 = s.measure(Algorithm::Contour, 48, 120.0).ipc;
+  const double contour16 = s.measure(ctx, Algorithm::Contour, 16, 120.0).ipc;
+  const double contour48 = s.measure(ctx, Algorithm::Contour, 48, 120.0).ipc;
   EXPECT_GT(contour48, contour16 * 1.1);  // Fig. 4 trend
 
-  const double slice16 = s.measure(Algorithm::Slice, 16, 120.0).ipc;
-  const double slice48 = s.measure(Algorithm::Slice, 48, 120.0).ipc;
+  const double slice16 = s.measure(ctx, Algorithm::Slice, 16, 120.0).ipc;
+  const double slice48 = s.measure(ctx, Algorithm::Slice, 48, 120.0).ipc;
   EXPECT_GT(slice48, slice16);  // Fig. 4
 }
 

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 
 #include "core/study.h"
+#include "util/exec_context.h"
 
 namespace pviz::core {
 namespace {
@@ -40,16 +42,22 @@ TEST(Study, DatasetIsMemoized) {
 }
 
 TEST(Study, CharacterizationIsMemoized) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   Study study(smallConfig());
-  const vis::KernelProfile& a = study.characterize(Algorithm::Threshold, 8);
-  const vis::KernelProfile& b = study.characterize(Algorithm::Threshold, 8);
+  const vis::KernelProfile& a =
+      study.characterize(ctx, Algorithm::Threshold, 8);
+  const vis::KernelProfile& b =
+      study.characterize(ctx, Algorithm::Threshold, 8);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.kernel, "threshold");
 }
 
 TEST(Study, CapSweepRatiosAreBaselinedAtTheDefaultCap) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   Study study(smallConfig());
-  const auto sweep = study.capSweep(Algorithm::Threshold, 8);
+  const auto sweep = study.capSweep(ctx, Algorithm::Threshold, 8);
   ASSERT_EQ(sweep.size(), 3u);
   EXPECT_DOUBLE_EQ(sweep[0].ratios.pRatio, 1.0);
   EXPECT_DOUBLE_EQ(sweep[0].ratios.tRatio, 1.0);
@@ -64,24 +72,28 @@ TEST(Study, CapSweepRatiosAreBaselinedAtTheDefaultCap) {
 }
 
 TEST(Study, CyclesMultiplyMeasuredTime) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   StudyConfig one = smallConfig();
   one.cycles = 1;
   StudyConfig four = smallConfig();
   four.cycles = 4;
   Study a(one), b(four);
-  const double ta = a.measure(Algorithm::Contour, 8, 120.0).seconds;
-  const double tb = b.measure(Algorithm::Contour, 8, 120.0).seconds;
+  const double ta = a.measure(ctx, Algorithm::Contour, 8, 120.0).seconds;
+  const double tb = b.measure(ctx, Algorithm::Contour, 8, 120.0).seconds;
   EXPECT_NEAR(tb / ta, 4.0, 0.2);
 }
 
 TEST(Study, Phase1IsTheContourSweep) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   StudyConfig config = smallConfig();
   config.sizes = {128};  // phase 1 runs at 128^3 by definition
   // Keep this test fast: shrink to an 8^3-sized "128" stand-in is not
   // possible (the phase is defined at 128^3), so just check the record
   // structure via capSweep on a small size instead.
   Study study(smallConfig());
-  const auto sweep = study.capSweep(Algorithm::Contour, 12);
+  const auto sweep = study.capSweep(ctx, Algorithm::Contour, 12);
   EXPECT_EQ(sweep.size(), study.config().capsWatts.size());
 }
 
@@ -141,18 +153,35 @@ TEST(ProfileCache, MissingFileIsEmpty) {
   EXPECT_TRUE(loadProfileCache("definitely_not_here_12345.txt").empty());
 }
 
+TEST(ProfileCache, OverstatedPhaseCountIsAnError) {
+  // The entry promises 1e11 phases but only one line follows: the loader
+  // must reject the file at the first missing phase line instead of
+  // appending default phases until allocation fails.
+  const std::string path = "test_profile_cache_overstated.txt";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "entry k contour 10 100000000000\n"
+        << "phase p 1 1 1 1 1 1 1 0.5 0.5\n";
+  }
+  EXPECT_THROW(loadProfileCache(path), Error);
+  std::remove(path.c_str());
+}
+
 TEST(ProfileCache, StudyUsesTheCacheAcrossInstances) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const std::string path = "test_study_cache.txt";
   std::remove(path.c_str());
   StudyConfig config = smallConfig();
   config.cachePath = path;
   {
     Study study(config);
-    study.characterize(Algorithm::Threshold, 8);
+    study.characterize(ctx, Algorithm::Threshold, 8);
   }
   // A fresh study loads the characterization from disk (same key).
   Study study2(config);
-  const vis::KernelProfile& p = study2.characterize(Algorithm::Threshold, 8);
+  const vis::KernelProfile& p =
+      study2.characterize(ctx, Algorithm::Threshold, 8);
   EXPECT_EQ(p.kernel, "threshold");
   EXPECT_EQ(p.elements, 8 * 8 * 8);
   std::remove(path.c_str());

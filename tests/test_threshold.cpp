@@ -1,6 +1,7 @@
 // Threshold filter tests.
 #include <gtest/gtest.h>
 
+#include "util/exec_context.h"
 #include "viz/filters/threshold.h"
 
 namespace pviz::vis {
@@ -17,36 +18,44 @@ UniformGrid zGrid(Id cells) {
 }
 
 TEST(Threshold, KeepsEverythingForFullRange) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = zGrid(8);
   ThresholdFilter filter;
   filter.setRange(-1.0, 2.0);
-  const auto result = filter.run(g, "z");
+  const auto result = filter.run(ctx, g, "z");
   EXPECT_EQ(result.kept.numCells(), g.numCells());
 }
 
 TEST(Threshold, KeepsNothingForEmptyRange) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = zGrid(8);
   ThresholdFilter filter;
   filter.setRange(5.0, 6.0);
-  const auto result = filter.run(g, "z");
+  const auto result = filter.run(ctx, g, "z");
   EXPECT_EQ(result.kept.numCells(), 0);
 }
 
 TEST(Threshold, LinearFieldKeepsExactSlabOfCells)  {
   // Cell average of z is (k + 0.5) * h; keep the bottom half exactly.
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const Id n = 10;
   const UniformGrid g = zGrid(n);
   ThresholdFilter filter;
   filter.setRange(0.0, 0.5);
-  const auto result = filter.run(g, "z");
+  const auto result = filter.run(ctx, g, "z");
   EXPECT_EQ(result.kept.numCells(), n * n * (n / 2));
 }
 
 TEST(Threshold, KeptCellsActuallySatisfyRange) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = zGrid(9);
   ThresholdFilter filter;
   filter.setRange(0.3, 0.7);
-  const auto result = filter.run(g, "z");
+  const auto result = filter.run(ctx, g, "z");
   EXPECT_GT(result.kept.numCells(), 0);
   const Field& f = g.field("z");
   for (Id i = 0; i < result.kept.numCells(); ++i) {
@@ -64,16 +73,20 @@ TEST(Threshold, KeptCellsActuallySatisfyRange) {
 }
 
 TEST(Threshold, CellIdsAreSortedAndUnique) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = zGrid(7);
   ThresholdFilter filter;
   filter.setRange(0.2, 0.9);
-  const auto result = filter.run(g, "z");
+  const auto result = filter.run(ctx, g, "z");
   for (std::size_t i = 1; i < result.kept.cellIds.size(); ++i) {
     ASSERT_LT(result.kept.cellIds[i - 1], result.kept.cellIds[i]);
   }
 }
 
 TEST(Threshold, CellAssociatedFieldPath) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   UniformGrid g = UniformGrid::cube(4);
   Field f = Field::zeros("c", Association::Cells, 1, g.numCells());
   for (Id c = 0; c < g.numCells(); ++c) {
@@ -82,36 +95,42 @@ TEST(Threshold, CellAssociatedFieldPath) {
   g.addField(std::move(f));
   ThresholdFilter filter;
   filter.setRange(10.0, 20.0);
-  const auto result = filter.run(g, "c");
+  const auto result = filter.run(ctx, g, "c");
   EXPECT_EQ(result.kept.numCells(), 11);
   EXPECT_EQ(result.kept.cellIds.front(), 10);
   EXPECT_EQ(result.kept.cellIds.back(), 20);
 }
 
 TEST(Threshold, BoundaryValuesAreInclusive) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   UniformGrid g = UniformGrid::cube(2);
   Field f = Field::zeros("c", Association::Cells, 1, g.numCells());
   for (Id c = 0; c < g.numCells(); ++c) f.setScalar(c, 1.0);
   g.addField(std::move(f));
   ThresholdFilter filter;
   filter.setRange(1.0, 1.0);
-  EXPECT_EQ(filter.run(g, "c").kept.numCells(), g.numCells());
+  EXPECT_EQ(filter.run(ctx, g, "c").kept.numCells(), g.numCells());
 }
 
 TEST(Threshold, RejectsInvertedRangeAndVectorField) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   ThresholdFilter filter;
   EXPECT_THROW(filter.setRange(2.0, 1.0), Error);
   UniformGrid g = UniformGrid::cube(2);
   g.addField(Field::zeros("v", Association::Points, 3, g.numPoints()));
   filter.setRange(0.0, 1.0);
-  EXPECT_THROW(filter.run(g, "v"), Error);
+  EXPECT_THROW(filter.run(ctx, g, "v"), Error);
 }
 
 TEST(Threshold, ProfileHasThreePhasesPlusElements) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const UniformGrid g = zGrid(6);
   ThresholdFilter filter;
   filter.setRange(0.0, 1.0);
-  const auto result = filter.run(g, "z");
+  const auto result = filter.run(ctx, g, "z");
   EXPECT_EQ(result.profile.kernel, "threshold");
   EXPECT_EQ(result.profile.elements, g.numCells());
   EXPECT_EQ(result.profile.phases.size(), 3u);
@@ -122,14 +141,16 @@ TEST(Threshold, ProfileHasThreePhasesPlusElements) {
 class ThresholdSplit : public ::testing::TestWithParam<double> {};
 
 TEST_P(ThresholdSplit, ComplementaryRangesPartitionCells) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   const double split = GetParam();
   const UniformGrid g = zGrid(8);
   ThresholdFilter below;
   below.setRange(-1.0, split);
   ThresholdFilter above;
   above.setRange(std::nextafter(split, 2.0), 2.0);
-  const Id nBelow = below.run(g, "z").kept.numCells();
-  const Id nAbove = above.run(g, "z").kept.numCells();
+  const Id nBelow = below.run(ctx, g, "z").kept.numCells();
+  const Id nAbove = above.run(ctx, g, "z").kept.numCells();
   EXPECT_EQ(nBelow + nAbove, g.numCells());
 }
 

@@ -84,7 +84,8 @@ TEST(TraceSink, EmptySinkStillParses) {
 }
 
 TEST(TraceSink, LiftsPhaseTracerPhases) {
-  util::ExecutionContext ctx;
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   {
     auto scope = ctx.phase("kernel/contour");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -112,7 +113,8 @@ TEST(TraceSink, LiftsPhaseTracerPhases) {
 }
 
 TEST(TraceSink, BeginRunClearsPhasesSoNoOrphanSpansLeak) {
-  util::ExecutionContext ctx;
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
   {
     auto scope = ctx.phase("request-one/phase");
   }

@@ -55,8 +55,11 @@ fi
 
 COMMIT="$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+# Our CMAKE_BUILD_TYPE, not google-benchmark's (library_build_type says
+# how libbenchmark itself was compiled).
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true)"
 
-RAW="$RAW" OUT="$OUT" COMMIT="$COMMIT" DATE="$DATE" \
+RAW="$RAW" OUT="$OUT" COMMIT="$COMMIT" DATE="$DATE" BUILD_TYPE="$BUILD_TYPE" \
 SET_BASELINE="$SET_BASELINE" QUICK="$QUICK" python3 - <<'PY'
 import json, os
 
@@ -102,6 +105,7 @@ ctx = raw.get("context", {})
 doc["host"] = {
     "num_cpus": ctx.get("num_cpus"),
     "mhz_per_cpu": ctx.get("mhz_per_cpu"),
+    "build_type": os.environ["BUILD_TYPE"] or None,
     "library_build_type": ctx.get("library_build_type"),
 }
 
@@ -201,7 +205,7 @@ if blocks:
         }
     doc["blocks"] = {
         "time_unit": "ms",
-        "kernel": "contour (3 isovalues, algorithm layer)",
+        "kernel": "contour (10 isovalues, algorithm layer)",
         "host_cpus": ctx.get("num_cpus"),
         "sizes": table,
     }

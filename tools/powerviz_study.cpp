@@ -185,10 +185,11 @@ int main(int argc, char** argv) {
   }
 
   core::Study study(config);
-  // One context for the whole run: every characterization shares the
-  // thread pool and scratch arena, so later sweeps reuse the buffers the
-  // first one allocated; the tracer accumulates every kernel phase.
-  util::ExecutionContext ctx;
+  // One context for the whole run, over the process pool: every
+  // characterization shares the thread pool and scratch arena, so later
+  // sweeps reuse the buffers the first one allocated; the tracer
+  // accumulates every kernel phase.
+  util::ExecutionContext ctx(util::ThreadPool::global());
   if (!backendToken.empty()) {
     ctx.setBackend(exec::backendFor(exec::parseBackendToken(backendToken)));
   }
