@@ -46,6 +46,7 @@ std::int64_t causalOffset(const std::vector<telemetry::TraceSpan>& coordSpans,
 
   std::int64_t lo = std::numeric_limits<std::int64_t>::min();
   std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  bool matched = false;
   for (auto& [traceId, reqs] : requests) {
     auto it = dispatch.find(traceId);
     if (it == dispatch.end()) continue;
@@ -56,6 +57,7 @@ std::int64_t causalOffset(const std::vector<telemetry::TraceSpan>& coordSpans,
     for (std::size_t i = 0; i < pairs; ++i) {
       const telemetry::TraceSpan& r = *reqs[i];
       const telemetry::TraceSpan& d = *disp[i];
+      matched = true;
       lo = std::max(lo, static_cast<std::int64_t>(r.startUs + r.durationUs) -
                             static_cast<std::int64_t>(d.startUs + d.durationUs));
       hi = std::min(hi, static_cast<std::int64_t>(r.startUs) -
@@ -63,6 +65,8 @@ std::int64_t causalOffset(const std::vector<telemetry::TraceSpan>& coordSpans,
     }
   }
 
+  // No matched pair bounds the offset: keep the heartbeat estimate.
+  if (!matched) return fragment.clockOffsetUs;
   if (lo > hi) {
     // The pairs disagree (a dropped retry span got mispaired); fall
     // back to splitting the difference rather than trusting either.

@@ -1,7 +1,7 @@
 // Parallel loop, scan, and compaction primitives used by the kernels:
 // index-based parallelFor, parallelReduce, a parallel three-phase
-// exclusive scan, and deterministic compaction/gather patterns used by
-// filters that emit variable-sized output.
+// exclusive scan, and the deterministic compaction that filters emitting
+// variable-sized output build on (count → scan → write).
 //
 // Every primitive takes an ExecutionContext: it dispatches chunks
 // through the context's exec::Backend (serial / threaded / vectorized —
@@ -256,32 +256,6 @@ std::vector<std::int64_t> parallelSelect(ExecutionContext& ctx, std::int64_t n,
                            }
                          });
   return out;
-}
-
-/// Chunked map-gather for variable-sized output: `body(local, b, e)`
-/// appends chunk [b, e)'s output into a default-constructed `T`, and
-/// `merge(result, part)` splices partials together **in ascending chunk
-/// order** — unlike a completion-order mutex gather, the concatenated
-/// output is byte-identical on every backend, pool size, and schedule.
-template <typename T, typename ChunkBody, typename Merge>
-T parallelGatherChunks(ExecutionContext& ctx, std::int64_t begin,
-                       std::int64_t end, ChunkBody&& body, Merge&& merge,
-                       std::int64_t grain = kDefaultGrain) {
-  T result;
-  if (begin >= end) return result;
-  PVIZ_REQUIRE(grain > 0, "parallelGatherChunks grain must be positive");
-  const std::size_t chunkCount =
-      static_cast<std::size_t>((end - begin + grain - 1) / grain);
-  std::vector<T> partials(chunkCount);
-  CancelToken* cancel = &ctx.cancel();
-  detail::dispatchChunks(
-      ctx.backend(), ctx.pool(), cancel, begin, end, grain,
-      [&, cancel](std::int64_t b, std::int64_t e) {
-        detail::pollCancel(cancel);
-        body(partials[static_cast<std::size_t>((b - begin) / grain)], b, e);
-      });
-  for (auto& p : partials) merge(result, std::move(p));
-  return result;
 }
 
 // ---- context-free loop (global pool, default backend, no cancel) -------

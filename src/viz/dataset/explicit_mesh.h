@@ -47,7 +47,6 @@ struct TriangleMesh {
     points.insert(points.end(), other.points.begin(), other.points.end());
     pointScalars.insert(pointScalars.end(), other.pointScalars.begin(),
                         other.pointScalars.end());
-    connectivity.reserve(connectivity.size() + other.connectivity.size());
     for (Id id : other.connectivity) connectivity.push_back(base + id);
   }
 };

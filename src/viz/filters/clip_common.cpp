@@ -1,5 +1,6 @@
 #include "viz/filters/clip_common.h"
 
+#include <bit>
 #include <optional>
 
 #include "util/exec_context.h"
@@ -27,66 +28,32 @@ ClipVertex edgePoint(const Vec3& pa, const Vec3& pb, double sa, double sb,
   return {lerp(pa, pb, t), lerp(ca, cb, t)};
 }
 
-void emitTet(const ClipVertex& a, const ClipVertex& b, const ClipVertex& c,
-             const ClipVertex& d, TetMesh& out) {
-  const Id base = out.numPoints();
-  out.points.push_back(a.position);
-  out.points.push_back(b.position);
-  out.points.push_back(c.position);
-  out.points.push_back(d.position);
-  out.pointScalars.push_back(a.carry);
-  out.pointScalars.push_back(b.carry);
-  out.pointScalars.push_back(c.carry);
-  out.pointScalars.push_back(d.carry);
-  out.connectivity.push_back(base);
-  out.connectivity.push_back(base + 1);
-  out.connectivity.push_back(base + 2);
-  out.connectivity.push_back(base + 3);
-}
-
-// Split the prism with triangle faces (t0,t1,t2) / (b0,b1,b2) into three
-// tets.  Valid for the mildly warped prisms tet clipping produces.
-void emitPrism(const ClipVertex& t0, const ClipVertex& t1,
-               const ClipVertex& t2, const ClipVertex& b0,
-               const ClipVertex& b1, const ClipVertex& b2, TetMesh& out) {
-  emitTet(t0, t1, t2, b0, out);
-  emitTet(t1, t2, b0, b2, out);
-  emitTet(t1, b0, b1, b2, out);
-}
-
-// Splice `part` onto the end of `into`, rebasing connectivity.  Always
-// applied in ascending chunk order so concatenated output is identical
-// on every pool size.
-void spliceTetMesh(TetMesh& into, TetMesh&& part) {
-  const Id base = into.numPoints();
-  into.points.insert(into.points.end(), part.points.begin(),
-                     part.points.end());
-  into.pointScalars.insert(into.pointScalars.end(), part.pointScalars.begin(),
-                           part.pointScalars.end());
-  into.connectivity.reserve(into.connectivity.size() +
-                            part.connectivity.size());
-  for (Id id : part.connectivity) into.connectivity.push_back(base + id);
-}
-
-}  // namespace
-
-const int (*hexTetDecomposition())[4] { return kHexTets; }
-
-void clipTetrahedron(const Vec3 pos[4], const double clip[4],
-                     const double carry[4], TetMesh& out) {
+// The tet clip cases: calls `emit(a, b, c, d)` once per kept tet, in
+// output order.  The clipTetrahedron append hook and the scanned-slot
+// writer both instantiate it, so there is one implementation of them.
+template <typename Emit>
+void clipTetCases(const Vec3 pos[4], const double clip[4],
+                  const double carry[4], Emit&& emit) {
   int keepMask = 0;
-  for (int i = 0; i < 4; ++i) {
-    if (clip[i] >= 0.0) keepMask |= 1 << i;
-  }
+  for (int i = 0; i < 4; ++i) keepMask |= (clip[i] >= 0.0) << i;
   if (keepMask == 0) return;
 
   auto vert = [&](int i) -> ClipVertex { return {pos[i], carry[i]}; };
   auto cut = [&](int a, int b) -> ClipVertex {
     return edgePoint(pos[a], pos[b], clip[a], clip[b], carry[a], carry[b]);
   };
+  // Split the prism with triangle faces (t0,t1,t2) / (b0,b1,b2) into
+  // three tets.  Valid for the mildly warped prisms tet clipping produces.
+  auto prism = [&](const ClipVertex& t0, const ClipVertex& t1,
+                   const ClipVertex& t2, const ClipVertex& b0,
+                   const ClipVertex& b1, const ClipVertex& b2) {
+    emit(t0, t1, t2, b0);
+    emit(t1, t2, b0, b2);
+    emit(t1, b0, b1, b2);
+  };
 
   if (keepMask == 0xF) {
-    emitTet(vert(0), vert(1), vert(2), vert(3), out);
+    emit(vert(0), vert(1), vert(2), vert(3));
     return;
   }
 
@@ -105,23 +72,163 @@ void clipTetrahedron(const Vec3 pos[4], const double clip[4],
   if (nKept == 1) {
     // Small tet: kept corner + three cut points toward the lost corners.
     const int a = kept[0];
-    emitTet(vert(a), cut(a, lost[0]), cut(a, lost[1]), cut(a, lost[2]), out);
+    emit(vert(a), cut(a, lost[0]), cut(a, lost[1]), cut(a, lost[2]));
   } else if (nKept == 2) {
     // Prism: the two kept corners and four cut points.
     const int a = kept[0];
     const int b = kept[1];
     const int c = lost[0];
     const int d = lost[1];
-    emitPrism(vert(a), cut(a, c), cut(a, d), vert(b), cut(b, c), cut(b, d),
-              out);
+    prism(vert(a), cut(a, c), cut(a, d), vert(b), cut(b, c), cut(b, d));
   } else {  // nKept == 3: tet minus a corner tet = prism.
     const int d = lost[0];
     const int a = kept[0];
     const int b = kept[1];
     const int c = kept[2];
-    emitPrism(vert(a), vert(b), vert(c), cut(a, d), cut(b, d), cut(c, d),
-              out);
+    prism(vert(a), vert(b), vert(c), cut(a, d), cut(b, d), cut(c, d));
   }
+}
+
+// Output tets of input tet `t`, read off its four corner signs.
+int meshTetTetCount(const TetsToClip& tets, Id t) {
+  int keepMask = 0;
+  for (int i = 0; i < 4; ++i) {
+    const Id p = tets.mesh->connectivity[static_cast<std::size_t>(4 * t + i)];
+    keepMask |= (tets.clipScalar[static_cast<std::size_t>(p)] >= 0.0) << i;
+  }
+  return clipTetCount(keepMask);
+}
+
+// Output tets of a cut cell: the sum over its six tets.
+int cutCellTetCount(const CellsToClip& cells, Id cell) {
+  Id pts[8];
+  cells.grid->cellPointIds(cells.grid->cellIjk(cell), pts);
+  int count = 0;
+  for (const auto& tet : kHexTets) {
+    int keepMask = 0;
+    for (int i = 0; i < 4; ++i) {
+      const auto p = static_cast<std::size_t>(pts[tet[i]]);
+      keepMask |= (cells.clipScalar[p] >= 0.0) << i;
+    }
+    count += clipTetCount(keepMask);
+  }
+  return count;
+}
+
+// Re-clip input tet `t` of a mesh.
+template <typename Emit>
+void clipMeshTet(const TetsToClip& tets, Id t, Emit&& emit) {
+  const TetMesh& mesh = *tets.mesh;
+  Vec3 pos[4];
+  double clip[4];
+  double carry[4];
+  for (int i = 0; i < 4; ++i) {
+    const auto p = static_cast<std::size_t>(
+        mesh.connectivity[static_cast<std::size_t>(4 * t + i)]);
+    pos[i] = mesh.points[p];
+    clip[i] = tets.clipScalar[p];
+    carry[i] = mesh.pointScalars.empty() ? 0.0 : mesh.pointScalars[p];
+  }
+  clipTetCases(pos, clip, carry, emit);
+}
+
+// Subdivide cut cell `cell` into its six tets and clip each.
+template <typename Emit>
+void clipCutCell(const CellsToClip& cells, Id cell, Emit&& emit) {
+  const UniformGrid& grid = *cells.grid;
+  Id pts[8];
+  const Id3 c = grid.cellIjk(cell);
+  grid.cellPointIds(c, pts);
+  Vec3 cornerPos[8];
+  double clip[8];
+  double carry[8];
+  static constexpr Id kOffsets[8][3] = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0},
+                                        {0, 1, 0}, {0, 0, 1}, {1, 0, 1},
+                                        {1, 1, 1}, {0, 1, 1}};
+  for (int i = 0; i < 8; ++i) {
+    cornerPos[i] = grid.pointPosition(Id3{
+        c.i + kOffsets[i][0], c.j + kOffsets[i][1], c.k + kOffsets[i][2]});
+    clip[i] = cells.clipScalar[static_cast<std::size_t>(pts[i])];
+    carry[i] = cells.carried[static_cast<std::size_t>(pts[i])];
+  }
+  for (const auto& tet : kHexTets) {
+    const Vec3 tp[4] = {cornerPos[tet[0]], cornerPos[tet[1]],
+                        cornerPos[tet[2]], cornerPos[tet[3]]};
+    const double tc[4] = {clip[tet[0]], clip[tet[1]], clip[tet[2]],
+                          clip[tet[3]]};
+    const double ta[4] = {carry[tet[0]], carry[tet[1]], carry[tet[2]],
+                          carry[tet[3]]};
+    clipTetCases(tp, tc, ta, emit);
+  }
+}
+
+}  // namespace
+
+const int (*hexTetDecomposition())[4] { return kHexTets; }
+
+int clipTetCount(int keepMask) {
+  // By kept-corner count: none, the corner tet, a prism split into three
+  // tets (two or three kept corners), the whole tet.
+  constexpr int kTetsByKeptCount[5] = {0, 1, 3, 3, 1};
+  return kTetsByKeptCount[std::popcount(static_cast<unsigned>(keepMask))];
+}
+
+void clipTetrahedron(const Vec3 pos[4], const double clip[4],
+                     const double carry[4], TetMesh& out) {
+  clipTetCases(pos, clip, carry, [&out](const auto&... tet) {
+    for (const ClipVertex* v : {&tet...}) {
+      out.connectivity.push_back(out.numPoints());
+      out.points.push_back(v->position);
+      out.pointScalars.push_back(v->carry);
+    }
+  });
+}
+
+Id clipIntoTetSoup(util::ExecutionContext& ctx, const TetsToClip& tets,
+                   const CellsToClip& cells, TetMesh& out) {
+  const Id numTets = tets.mesh != nullptr ? tets.mesh->numTets() : 0;
+  const Id numInputs = numTets + static_cast<Id>(cells.cells.size());
+  auto cellAt = [&](Id n) {
+    return cells.cells[static_cast<std::size_t>(n - numTets)];
+  };
+
+  // Count: output tets per input, then one scan into tet offsets.
+  util::ScratchVector<std::int64_t> firstTet(
+      ctx.arena(), static_cast<std::size_t>(numInputs) + 1);
+  util::parallelFor(ctx, 0, numInputs, [&](Id n) {
+    firstTet[static_cast<std::size_t>(n)] =
+        n < numTets ? meshTetTetCount(tets, n)
+                    : cutCellTetCount(cells, cellAt(n));
+  });
+  firstTet[static_cast<std::size_t>(numInputs)] = 0;
+  const auto vertices = static_cast<std::size_t>(util::exclusiveScan(
+                            ctx, firstTet.data(), numInputs + 1)) * 4;
+
+  // Allocate once, then write every input's tets into its own slots.
+  out.points.resize(vertices);
+  out.pointScalars.resize(vertices);
+  out.connectivity.resize(vertices);
+  util::parallelFor(
+      ctx, 0, numInputs,
+      [&](Id n) {
+        auto slot =
+            static_cast<std::size_t>(firstTet[static_cast<std::size_t>(n)]) * 4;
+        auto write = [&](const auto&... tet) {
+          for (const ClipVertex* v : {&tet...}) {
+            out.points[slot] = v->position;
+            out.pointScalars[slot] = v->carry;
+            out.connectivity[slot] = static_cast<Id>(slot);
+            ++slot;
+          }
+        };
+        if (n < numTets) {
+          clipMeshTet(tets, n, write);
+        } else {
+          clipCutCell(cells, cellAt(n), write);
+        }
+      },
+      /*grain=*/256);
+  return firstTet[static_cast<std::size_t>(numTets)];
 }
 
 ClipResult clipUniformGrid(util::ExecutionContext& ctx,
@@ -247,46 +354,10 @@ ClipResult clipUniformGrid(util::ExecutionContext& ctx,
     result.wholeCells.cellScalars[static_cast<std::size_t>(n)] = avg / 8.0;
   });
 
-  // Pass 2b: cut cells — clip per chunk of the compacted list, splice in
-  // chunk order (deterministic output for every pool size).
+  // Pass 2b: cut cells, subdivided in order into one final-size tet soup.
   phase.emplace(ctx, "subdivide");
-  result.cutPieces = util::parallelGatherChunks<TetMesh>(
-      ctx, 0, static_cast<Id>(cutList.size()),
-      [&](TetMesh& local, Id chunkBegin, Id chunkEnd) {
-        for (Id n = chunkBegin; n < chunkEnd; ++n) {
-          const Id cell = cutList[static_cast<std::size_t>(n)];
-          Id pts[8];
-          const Id3 c = grid.cellIjk(cell);
-          grid.cellPointIds(c, pts);
-          Vec3 cornerPos[8];
-          double clip[8];
-          double carry[8];
-          static constexpr Id kOffsets[8][3] = {{0, 0, 0}, {1, 0, 0},
-                                                {1, 1, 0}, {0, 1, 0},
-                                                {0, 0, 1}, {1, 0, 1},
-                                                {1, 1, 1}, {0, 1, 1}};
-          for (int i = 0; i < 8; ++i) {
-            cornerPos[i] = grid.pointPosition(Id3{c.i + kOffsets[i][0],
-                                                  c.j + kOffsets[i][1],
-                                                  c.k + kOffsets[i][2]});
-            clip[i] = clipScalar[static_cast<std::size_t>(pts[i])];
-            carry[i] = carried[static_cast<std::size_t>(pts[i])];
-          }
-          for (const auto& tet : kHexTets) {
-            const Vec3 tp[4] = {cornerPos[tet[0]], cornerPos[tet[1]],
-                                cornerPos[tet[2]], cornerPos[tet[3]]};
-            const double tc[4] = {clip[tet[0]], clip[tet[1]], clip[tet[2]],
-                                  clip[tet[3]]};
-            const double ta[4] = {carry[tet[0]], carry[tet[1]], carry[tet[2]],
-                                  carry[tet[3]]};
-            clipTetrahedron(tp, tc, ta, local);
-          }
-        }
-      },
-      [](TetMesh& into, TetMesh&& part) {
-        spliceTetMesh(into, std::move(part));
-      },
-      /*grain=*/256);
+  clipIntoTetSoup(ctx, {}, {&grid, cutList, clipScalar, carried},
+                  result.cutPieces);
   return result;
 }
 
@@ -294,28 +365,9 @@ TetMesh clipTetMesh(util::ExecutionContext& ctx, const TetMesh& mesh,
                     std::span<const double> clipScalar) {
   PVIZ_REQUIRE(static_cast<Id>(clipScalar.size()) == mesh.numPoints(),
                "clip scalar must match mesh point count");
-  return util::parallelGatherChunks<TetMesh>(
-      ctx, 0, mesh.numTets(),
-      [&](TetMesh& local, Id chunkBegin, Id chunkEnd) {
-        for (Id t = chunkBegin; t < chunkEnd; ++t) {
-          Vec3 pos[4];
-          double clip[4];
-          double carry[4];
-          for (int i = 0; i < 4; ++i) {
-            const Id p = mesh.connectivity[static_cast<std::size_t>(4 * t + i)];
-            pos[i] = mesh.points[static_cast<std::size_t>(p)];
-            clip[i] = clipScalar[static_cast<std::size_t>(p)];
-            carry[i] = mesh.pointScalars.empty()
-                           ? 0.0
-                           : mesh.pointScalars[static_cast<std::size_t>(p)];
-          }
-          clipTetrahedron(pos, clip, carry, local);
-        }
-      },
-      [](TetMesh& into, TetMesh&& part) {
-        spliceTetMesh(into, std::move(part));
-      },
-      /*grain=*/512);
+  TetMesh out;
+  clipIntoTetSoup(ctx, {&mesh, clipScalar}, {}, out);
+  return out;
 }
 
 }  // namespace pviz::vis

@@ -13,7 +13,6 @@
 // Convention: points with clip scalar >= 0 are KEPT.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -51,14 +50,40 @@ ClipResult clipUniformGrid(util::ExecutionContext& ctx,
 TetMesh clipTetMesh(util::ExecutionContext& ctx, const TetMesh& mesh,
                     std::span<const double> clipScalar);
 
+/// Tets of an existing mesh to re-clip (keep >= 0 per mesh point).
+struct TetsToClip {
+  const TetMesh* mesh = nullptr;  ///< nullptr: no tets
+  std::span<const double> clipScalar;
+};
+
+/// Cut cells of a uniform grid to subdivide into six tets each and clip.
+struct CellsToClip {
+  const UniformGrid* grid = nullptr;  ///< nullptr: no cells
+  std::span<const Id> cells;          ///< flat cell ids, in output order
+  std::span<const double> clipScalar;  ///< per grid point, keep >= 0
+  std::span<const double> carried;     ///< per grid point
+};
+
+/// Clip `tets` and then `cells` into one tet soup, each in input order,
+/// replacing the contents of `out`.  Count → scan → write: every input
+/// counts its output tets, one exclusive scan gives each its slot, and
+/// the arrays are allocated once at their final size.
+/// `out.connectivity[k] == k`.  Returns the number of output tets that
+/// came from `tets`.
+Id clipIntoTetSoup(util::ExecutionContext& ctx, const TetsToClip& tets,
+                   const CellsToClip& cells, TetMesh& out);
+
 /// Clip a single tetrahedron; appends kept tets to `out`.
 /// `pos`/`clip`/`carry` give the four vertices.  Exposed for testing.
 void clipTetrahedron(const Vec3 pos[4], const double clip[4],
                      const double carry[4], TetMesh& out);
 
-/// Decompose the hex cell `c` of `grid` into 6 tets around the 0-6 main
-/// diagonal; `cornerIdx` receives 4 VTK-hex corner indices per tet.
-/// Exposed for testing.
+/// Number of tets clipTetrahedron emits when bit i of `keepMask` (0..15)
+/// says corner i is kept: {0, 1, 3, 3, 1} by kept-corner count.
+int clipTetCount(int keepMask);
+
+/// The 6 tets (4 VTK-hex corner indices each) a cut cell is decomposed
+/// into, around the 0-6 main diagonal.  Exposed for testing.
 const int (*hexTetDecomposition())[4];
 
 }  // namespace pviz::vis

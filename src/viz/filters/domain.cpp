@@ -38,7 +38,6 @@ void requireExchanged(const MultiBlockGrid& domain) {
 }
 
 void appendRemappedCells(HexSubset& out, const HexSubset& in, Id cellBase) {
-  out.cellIds.reserve(out.cellIds.size() + in.cellIds.size());
   for (const Id id : in.cellIds) out.cellIds.push_back(cellBase + id);
   out.cellScalars.insert(out.cellScalars.end(), in.cellScalars.begin(),
                          in.cellScalars.end());
@@ -53,12 +52,9 @@ void spliceTets(TetMesh& out, const TetMesh& in, std::size_t tetBegin,
                     in.points.begin() + pe);
   out.pointScalars.insert(out.pointScalars.end(), in.pointScalars.begin() + pb,
                           in.pointScalars.begin() + pe);
-  for (std::ptrdiff_t c = pb; c < pe; ++c) {
-    // Tet soups built by emitTet have connectivity local to their own
-    // 4-point groups, so a plain point-base rebase keeps every tet valid.
-    out.connectivity.push_back(base + (in.connectivity[static_cast<std::size_t>(c)] -
-                                       static_cast<Id>(tetBegin) * 4));
-  }
+  // Tet soups have identity connectivity, and so does their concatenation.
+  out.connectivity.resize(out.points.size());
+  std::iota(out.connectivity.begin() + base, out.connectivity.end(), base);
 }
 
 }  // namespace

@@ -16,37 +16,30 @@ IsovolumeFilter::Result IsovolumeFilter::run(
   const Id numPoints = grid.numPoints();
   const std::vector<double>& f = field.data();
 
-  // Stage 1: keep f >= lo.
-  util::ScratchVector<double> stage1(ctx.arena(),
-                                     static_cast<std::size_t>(numPoints));
+  // Stage 1 keeps f >= lo; stage 2 keeps f <= hi.
+  util::ScratchVector<double> stage1;
+  util::ScratchVector<double> stage2;
   {
     auto rangePhase = ctx.phase("range-fields");
+    stage1.acquire(ctx.arena(), static_cast<std::size_t>(numPoints));
+    stage2.acquire(ctx.arena(), static_cast<std::size_t>(numPoints));
     util::parallelFor(ctx, 0, numPoints, [&](Id p) {
-      stage1[static_cast<std::size_t>(p)] =
-          f[static_cast<std::size_t>(p)] - lo_;
+      const double v = f[static_cast<std::size_t>(p)];
+      stage1[static_cast<std::size_t>(p)] = v - lo_;
+      stage2[static_cast<std::size_t>(p)] = hi_ - v;
     });
   }
   ClipResult low = clipUniformGrid(
       ctx, grid, std::span<const double>(stage1.data(), stage1.size()), f);
 
-  // Stage 2a: re-examine the whole cells kept by stage 1 against hi.
-  // Build the f <= hi clip scalar once.
-  util::ScratchVector<double> stage2(ctx.arena(),
-                                     static_cast<std::size_t>(numPoints));
-  util::parallelFor(ctx, 0, numPoints, [&](Id p) {
-    stage2[static_cast<std::size_t>(p)] =
-        hi_ - f[static_cast<std::size_t>(p)];
-  });
-
   Result result;
-
-  // Whole cells from stage 1 must be re-classified against hi.  Rather
-  // than clip the full grid again, clip only cells stage 1 kept whole:
-  // the straddling ones go through the tet path.
-  std::vector<double> carriedTet;
   {
-    TetMesh boundary;
-    std::vector<Id>& keptIds = low.wholeCells.cellIds;
+    auto subdividePhase = ctx.phase("subdivide");
+
+    // Stage 2a: re-examine the whole cells kept by stage 1 against hi.
+    // Rather than clip the full grid again, clip only cells stage 1 kept
+    // whole: the straddling ones go through the tet path.
+    const std::vector<Id>& keptIds = low.wholeCells.cellIds;
     util::ScratchVector<std::uint8_t> cellState(ctx.arena(), keptIds.size());
     util::parallelFor(ctx, 0, static_cast<Id>(keptIds.size()), [&](Id n) {
       Id pts[8];
@@ -74,69 +67,25 @@ IsovolumeFilter::Result IsovolumeFilter::run(
           low.wholeCells.cellScalars[n];
     });
 
-    // Straddling cells take the tet path, in ascending order (serial:
-    // the straddling set is a thin shell of the kept region).
-    const std::vector<std::int64_t> straddleSel = util::parallelSelect(
+    // Straddling cells as grid cell ids, in ascending order.
+    std::vector<std::int64_t> straddle = util::parallelSelect(
         ctx, static_cast<std::int64_t>(keptIds.size()), [&](std::int64_t n) {
           return cellState[static_cast<std::size_t>(n)] == 2;
         });
-    for (const std::int64_t sn : straddleSel) {
-      const auto n = static_cast<std::size_t>(sn);
-      {
-        const Id3 c = grid.cellIjk(keptIds[n]);
-        Id pts[8];
-        grid.cellPointIds(c, pts);
-        Vec3 corner[8];
-        double clip[8];
-        double carry[8];
-        static constexpr Id kOffsets[8][3] = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0},
-                                              {0, 1, 0}, {0, 0, 1}, {1, 0, 1},
-                                              {1, 1, 1}, {0, 1, 1}};
-        for (int i = 0; i < 8; ++i) {
-          corner[i] = grid.pointPosition(Id3{c.i + kOffsets[i][0],
-                                             c.j + kOffsets[i][1],
-                                             c.k + kOffsets[i][2]});
-          clip[i] = stage2[static_cast<std::size_t>(pts[i])];
-          carry[i] = f[static_cast<std::size_t>(pts[i])];
-        }
-        const auto tets = hexTetDecomposition();
-        for (int t = 0; t < 6; ++t) {
-          const Vec3 tp[4] = {corner[tets[t][0]], corner[tets[t][1]],
-                              corner[tets[t][2]], corner[tets[t][3]]};
-          const double tc[4] = {clip[tets[t][0]], clip[tets[t][1]],
-                                clip[tets[t][2]], clip[tets[t][3]]};
-          const double ta[4] = {carry[tets[t][0]], carry[tets[t][1]],
-                                carry[tets[t][2]], carry[tets[t][3]]};
-          clipTetrahedron(tp, tc, ta, boundary);
-        }
-      }
-    }
+    for (std::int64_t& n : straddle) n = keptIds[static_cast<std::size_t>(n)];
 
-    // Stage 2b: re-clip the tet pieces from stage 1 against hi.  Their
-    // carried scalar IS the field, so the clip scalar is hi - scalar.
+    // Stage 2b: re-clip stage 1's tets against hi (their carried scalar IS
+    // the field), then subdivide the straddling cells, in one scan.
     util::ScratchVector<double> tetClip(ctx.arena(),
                                         low.cutPieces.pointScalars.size());
     util::parallelFor(ctx, 0, static_cast<Id>(tetClip.size()), [&](Id i) {
       tetClip[static_cast<std::size_t>(i)] =
           hi_ - low.cutPieces.pointScalars[static_cast<std::size_t>(i)];
     });
-    TetMesh clippedLow = clipTetMesh(
-        ctx, low.cutPieces,
-        std::span<const double>(tetClip.data(), tetClip.size()));
-
-    // Merge boundary pieces.
-    result.cutPieces = std::move(clippedLow);
-    result.lowClipTets = result.cutPieces.numTets();
-    const Id base = result.cutPieces.numPoints();
-    result.cutPieces.points.insert(result.cutPieces.points.end(),
-                                   boundary.points.begin(),
-                                   boundary.points.end());
-    result.cutPieces.pointScalars.insert(result.cutPieces.pointScalars.end(),
-                                         boundary.pointScalars.begin(),
-                                         boundary.pointScalars.end());
-    for (Id id : boundary.connectivity) {
-      result.cutPieces.connectivity.push_back(base + id);
-    }
+    result.lowClipTets = clipIntoTetSoup(
+        ctx, {&low.cutPieces, {tetClip.data(), tetClip.size()}},
+        {&grid, straddle, {stage2.data(), stage2.size()}, f},
+        result.cutPieces);
   }
 
   // --- Workload characterization: two full classification sweeps plus

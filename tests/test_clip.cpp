@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "clip_reference.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
 #include "viz/filters/clip_common.h"
@@ -67,6 +68,22 @@ TEST(ClipTetrahedron, CarriedScalarInterpolatesLinearly) {
   for (Id p = 0; p < out.numPoints(); ++p) {
     ASSERT_NEAR(out.pointScalars[static_cast<std::size_t>(p)],
                 out.points[static_cast<std::size_t>(p)].x, 1e-12);
+  }
+}
+
+TEST(ClipTetrahedron, CountTableMatchesEmittedTets) {
+  // Kept corners at +0.5 or exactly 0 (0 is kept), lost ones at -0.5.
+  const double carry[4] = {0, 0, 0, 0};
+  for (const double keptValue : {0.5, 0.0}) {
+    for (int mask = 0; mask < 16; ++mask) {
+      double clip[4];
+      for (int i = 0; i < 4; ++i) {
+        clip[i] = (mask >> i) & 1 ? keptValue : -0.5;
+      }
+      TetMesh out;
+      clipTetrahedron(kUnitTet, clip, carry, out);
+      EXPECT_EQ(clipTetCount(mask), out.numTets()) << "keep mask " << mask;
+    }
   }
 }
 
@@ -162,6 +179,75 @@ TEST(ClipUniformGrid, ClassifiesCountsConsistently) {
   const ClipResult none = clipUniformGrid(ctx, g, clip, g.field("x").data());
   EXPECT_EQ(none.cellsOut, g.numCells());
   EXPECT_EQ(none.wholeCells.numCells(), 0);
+}
+
+TEST(ClipUniformGrid, EveryHexSignPatternKeepsComplementaryVolumes) {
+  // One unit cell, all 256 corner sign patterns, magnitudes never 0:
+  // what s keeps and what -s keeps tile the cell.
+  util::ThreadPool pool(1);
+  util::ExecutionContext ctx(pool);
+  const UniformGrid g = UniformGrid::cube(1);
+  const std::vector<double> carried(8, 0.0);
+  auto keptVolume = [&](const std::vector<double>& s) {
+    const ClipResult r = clipUniformGrid(ctx, g, s, carried);
+    return static_cast<double>(r.wholeCells.numCells()) +
+           r.cutPieces.totalVolume();
+  };
+  for (int pattern = 0; pattern < 256; ++pattern) {
+    std::vector<double> s(8);
+    std::vector<double> negated(8);
+    for (int c = 0; c < 8; ++c) {
+      const double magnitude = 0.2 + 0.1 * c;
+      s[static_cast<std::size_t>(c)] =
+          (pattern >> c) & 1 ? magnitude : -magnitude;
+      negated[static_cast<std::size_t>(c)] = -s[static_cast<std::size_t>(c)];
+    }
+    EXPECT_NEAR(keptVolume(s) + keptVolume(negated), 1.0, 1e-12)
+        << "sign pattern " << pattern;
+  }
+}
+
+TEST(ClipUniformGrid, CutPiecesMatchSerialReferenceOnEveryConfig) {
+  const UniformGrid g = clipref::wavyGrid(36);
+  const std::vector<double>& w = g.field("w").data();
+  std::vector<double> clip(w.size());
+  for (std::size_t p = 0; p < w.size(); ++p) clip[p] = w[p] - 0.1;
+
+  TetMesh reference;
+  for (Id cell = 0; cell < g.numCells(); ++cell) {
+    const int kept = clipref::keptCorners(g, cell, clip);
+    if (kept > 0 && kept < 8) {
+      clipref::appendClippedCell(g, cell, clip, w, reference);
+    }
+  }
+  ASSERT_GT(reference.numTets(), 0);
+
+  for (const clipref::ExecConfig& config : clipref::execConfigs()) {
+    SCOPED_TRACE(config.label());
+    util::ThreadPool pool(config.workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(*config.backend);
+    const ClipResult result = clipUniformGrid(ctx, g, clip, w);
+    clipref::expectIdentical(result.cutPieces, reference);
+  }
+}
+
+TEST(ClipUniformGrid, TetSoupConnectivityIsIdentity) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
+  const UniformGrid g = clipref::wavyGrid(12);
+  const std::vector<double>& w = g.field("w").data();
+  const ClipResult first = clipUniformGrid(ctx, g, w, w);
+  ASSERT_GT(first.cutPieces.numTets(), 0);
+  clipref::expectIdentityConnectivity(first.cutPieces);
+
+  std::vector<double> second(first.cutPieces.pointScalars.size());
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    second[i] = 0.4 - first.cutPieces.pointScalars[i];
+  }
+  const TetMesh reclipped = clipTetMesh(ctx, first.cutPieces, second);
+  ASSERT_GT(reclipped.numTets(), 0);
+  clipref::expectIdentityConnectivity(reclipped);
 }
 
 TEST(ClipSphere, CulledVolumeMatchesSphereVolume) {

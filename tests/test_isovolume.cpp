@@ -1,6 +1,7 @@
 // Isovolume filter tests.
 #include <gtest/gtest.h>
 
+#include "clip_reference.h"
 #include "util/exec_context.h"
 #include "viz/filters/isovolume.h"
 
@@ -126,6 +127,80 @@ TEST(Isovolume, ProfileHasFourPhases) {
   EXPECT_EQ(result.profile.kernel, "isovolume");
   EXPECT_EQ(result.profile.phases.size(), 4u);
   EXPECT_EQ(result.profile.elements, g.numCells());
+}
+
+TEST(Isovolume, CutPiecesMatchSerialReferenceOnEveryConfig) {
+  const UniformGrid g = clipref::wavyGrid(32);
+  const std::vector<double>& w = g.field("w").data();
+  const double lo = -0.3;
+  const double hi = 0.4;
+  std::vector<double> keepAboveLo(w.size());
+  std::vector<double> keepBelowHi(w.size());
+  for (std::size_t p = 0; p < w.size(); ++p) {
+    keepAboveLo[p] = w[p] - lo;
+    keepBelowHi[p] = hi - w[p];
+  }
+
+  // Stage 1 by hand: cut cells clipped against lo, whole cells listed.
+  TetMesh lowPieces;
+  std::vector<Id> wholeAboveLo;
+  for (Id cell = 0; cell < g.numCells(); ++cell) {
+    const int kept = clipref::keptCorners(g, cell, keepAboveLo);
+    if (kept == 8) {
+      wholeAboveLo.push_back(cell);
+    } else if (kept > 0) {
+      clipref::appendClippedCell(g, cell, keepAboveLo, w, lowPieces);
+    }
+  }
+  // Stage 2: the stage-1 tets re-clipped against hi, then the whole
+  // cells that straddle hi.
+  TetMesh reference;
+  for (Id t = 0; t < lowPieces.numTets(); ++t) {
+    Vec3 pos[4];
+    double clip[4];
+    double carry[4];
+    for (int i = 0; i < 4; ++i) {
+      const auto p = static_cast<std::size_t>(
+          lowPieces.connectivity[static_cast<std::size_t>(4 * t + i)]);
+      pos[i] = lowPieces.points[p];
+      clip[i] = hi - lowPieces.pointScalars[p];
+      carry[i] = lowPieces.pointScalars[p];
+    }
+    clipTetrahedron(pos, clip, carry, reference);
+  }
+  const Id lowClipTets = reference.numTets();
+  for (const Id cell : wholeAboveLo) {
+    const int kept = clipref::keptCorners(g, cell, keepBelowHi);
+    if (kept > 0 && kept < 8) {
+      clipref::appendClippedCell(g, cell, keepBelowHi, w, reference);
+    }
+  }
+  ASSERT_GT(lowClipTets, 0);
+  ASSERT_GT(reference.numTets(), lowClipTets);
+
+  IsovolumeFilter filter;
+  filter.setRange(lo, hi);
+  for (const clipref::ExecConfig& config : clipref::execConfigs()) {
+    SCOPED_TRACE(config.label());
+    util::ThreadPool pool(config.workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(*config.backend);
+    const auto result = filter.run(ctx, g, "w");
+    clipref::expectIdentical(result.cutPieces, reference);
+    EXPECT_EQ(result.lowClipTets, lowClipTets);
+  }
+}
+
+TEST(Isovolume, TetSoupConnectivityIsIdentity) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
+  const UniformGrid g = clipref::wavyGrid(12);
+  IsovolumeFilter filter;
+  filter.setRange(-0.5, 0.5);
+  const auto result = filter.run(ctx, g, "w");
+  ASSERT_GT(result.lowClipTets, 0);
+  ASSERT_GT(result.cutPieces.numTets(), result.lowClipTets);
+  clipref::expectIdentityConnectivity(result.cutPieces);
 }
 
 // Property: band volume equals band width for any sub-interval of the

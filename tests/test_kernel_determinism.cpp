@@ -5,10 +5,10 @@
 // produce byte-identical meshes and images for every execution
 // configuration — all three exec backends (serial / threaded /
 // vectorized) × thread-pool sizes 1, 2, and the hardware default: the
-// compaction lists are in ascending cell order, chunked gathers merge
-// in chunk order, the exclusive scan is exact integer arithmetic, and
-// the vectorized inner-loop variants preserve integer results and
-// floating-point association exactly.  Every configuration is compared
+// compaction lists are in ascending cell order, variable-size output is
+// written at scanned offsets, the exclusive scan is exact integer
+// arithmetic, and the vectorized inner-loop variants preserve integer
+// results and floating-point association exactly.  Every configuration is compared
 // byte-for-byte against the serial backend on a one-thread pool.
 // The scan/compaction primitives themselves are exercised on their edge
 // cases (empty, single element, all zeros, totals past 2^31) against a
