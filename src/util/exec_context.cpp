@@ -32,7 +32,9 @@ void* ScratchArena::acquire(std::size_t bytes) {
     it->second.pop_back();
     ++reuseHits_;
   } else {
-    block.data = std::make_unique<std::byte[]>(cls);
+    // Uninitialized, like a reused block: zeroing here would fault the
+    // pages in now instead of in the phase that first writes them.
+    block.data = std::make_unique_for_overwrite<std::byte[]>(cls);
     block.capacity = cls;
   }
   void* p = block.data.get();

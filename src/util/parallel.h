@@ -1,5 +1,6 @@
 // Parallel loop, scan, and compaction primitives used by the kernels:
-// index-based parallelFor, parallelReduce, a parallel three-phase
+// index-based parallelFor, grain-blocked parallelForBlocks and the
+// parallelReduce built on it, a parallel three-phase
 // exclusive scan, and the deterministic compaction that filters emitting
 // variable-sized output build on (count → scan → write).
 //
@@ -99,45 +100,57 @@ void parallelForChunks(ExecutionContext& ctx, std::int64_t begin,
                          });
 }
 
-/// Map-reduce over [begin, end): `identity` seeds each chunk, `map(acc, i)`
-/// folds an index into a chunk accumulator, and `combine(a, b)` merges
-/// chunk results.  Partials are indexed by chunk (chunks are grain-aligned
-/// from `begin` on every backend) and combined in chunk order, so
-/// identical inputs reduce in the same order on every run regardless of
-/// thread scheduling — floating-point reductions are bit-reproducible,
-/// which the Rng header's determinism contract depends on.
+/// Run `f(block, blockBegin, blockEnd)` once for every block of [begin,
+/// end), where block b is [begin + b·grain, min(end, begin + (b+1)·grain)).
+/// A dispatcher may hand out coarser chunks than `grain` (the pool merges
+/// the whole range when running inline or nested), so each dispatched
+/// chunk is re-cut here on block boundaries: which indices form a block —
+/// and so anything a caller accumulates per block — is fixed by `grain`
+/// alone, never by who executed which chunk.
+template <typename Func>
+void parallelForBlocks(ExecutionContext& ctx, std::int64_t begin,
+                       std::int64_t end, Func&& f,
+                       std::int64_t grain = kDefaultGrain) {
+  PVIZ_REQUIRE(grain > 0, "parallelForBlocks grain must be positive");
+  CancelToken* cancel = &ctx.cancel();
+  detail::dispatchChunks(ctx.backend(), ctx.pool(), cancel, begin, end, grain,
+                         [&f, cancel, begin, grain](std::int64_t b,
+                                                    std::int64_t e) {
+                           detail::pollCancel(cancel);
+                           while (b < e) {
+                             const std::int64_t block = (b - begin) / grain;
+                             const std::int64_t be =
+                                 std::min(e, begin + (block + 1) * grain);
+                             f(block, b, be);
+                             b = be;
+                           }
+                         });
+}
+
+/// Map-reduce over [begin, end): `identity` seeds each grain-sized block,
+/// `map(acc, i)` folds an index into a block accumulator, and
+/// `combine(a, b)` merges block results.  Partials are indexed by block
+/// (see parallelForBlocks) and combined in block order, so identical
+/// inputs reduce in the same order on every run regardless of thread
+/// scheduling — floating-point reductions are bit-reproducible, which the
+/// Rng header's determinism contract depends on.
 template <typename T, typename Map, typename Combine>
 T parallelReduce(ExecutionContext& ctx, std::int64_t begin, std::int64_t end,
                  T identity, Map&& map, Combine&& combine,
                  std::int64_t grain = kDefaultGrain) {
   if (begin >= end) return identity;
   PVIZ_REQUIRE(grain > 0, "parallelReduce grain must be positive");
-  const std::size_t chunkCount =
+  const std::size_t blockCount =
       static_cast<std::size_t>((end - begin + grain - 1) / grain);
-  std::vector<T> partials(chunkCount, identity);
-  // A dispatcher may hand out coarser chunks than `grain` (the pool
-  // merges the whole range when running inline or nested), so the
-  // per-grain partials are re-cut here: the accumulation grouping — and
-  // with it the floating-point association — is fixed by `grain` alone,
-  // never by who executed which chunk.
-  CancelToken* cancel = &ctx.cancel();
-  detail::dispatchChunks(ctx.backend(), ctx.pool(), cancel, begin, end, grain,
-                         [&, cancel](std::int64_t b, std::int64_t e) {
-                           detail::pollCancel(cancel);
-                           std::int64_t cb = b;
-                           while (cb < e) {
-                             const std::int64_t chunk = (cb - begin) / grain;
-                             const std::int64_t ce =
-                                 std::min(e, begin + (chunk + 1) * grain);
-                             T acc = identity;
-                             for (std::int64_t i = cb; i < ce; ++i) {
-                               acc = map(std::move(acc), i);
-                             }
-                             partials[static_cast<std::size_t>(chunk)] =
-                                 std::move(acc);
-                             cb = ce;
-                           }
-                         });
+  std::vector<T> partials(blockCount, identity);
+  parallelForBlocks(
+      ctx, begin, end,
+      [&](std::int64_t block, std::int64_t b, std::int64_t e) {
+        T acc = identity;
+        for (std::int64_t i = b; i < e; ++i) acc = map(std::move(acc), i);
+        partials[static_cast<std::size_t>(block)] = std::move(acc);
+      },
+      grain);
   T total = std::move(identity);
   for (auto& p : partials) total = combine(std::move(total), std::move(p));
   return total;

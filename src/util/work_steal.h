@@ -22,9 +22,11 @@
 // schedule the threaded runs must match.
 //
 // Stealing invariants:
-//   * every range is executed exactly once: ranges move between deques
-//     only under the victim's mutex, and a popped range is run by the
-//     popper before it touches any deque again;
+//   * every range is executed exactly once: a range leaves a deque only
+//     under that deque's mutex, stolen ranges stay private to the thief
+//     until it pushes them onto its own deque (it never holds two deque
+//     mutexes at once), and a popped range is run by the popper before
+//     it touches any deque again;
 //   * a worker only goes idle when every deque it scanned was empty —
 //     and since bodies never enqueue new ranges, "all deques empty" is
 //     a stable termination condition, not a race;
@@ -127,7 +129,11 @@ WorkStealStats parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
         // Own deque drained: scan the other slots and take half of the
         // first non-empty victim's BACK (round up, so a 1-range victim
         // still yields).  The first looted range runs immediately; the
-        // rest land in our own deque.
+        // rest move out under the victim's lock and land in our own
+        // deque only after it is released — a thief never holds two
+        // deque locks, so two slots stealing from each other cannot
+        // deadlock.
+        std::vector<detail::StealRange> loot;
         for (std::int64_t d = 1; d < slots && !have; ++d) {
           auto& victim = deques[static_cast<std::size_t>((self + d) % slots)];
           std::lock_guard<std::mutex> lock(victim.mutex);
@@ -139,13 +145,14 @@ WorkStealStats parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
           victim.ranges.pop_back();
           have = true;
           ++stole;
-          if (take > 1) {
-            std::lock_guard<std::mutex> ownLock(own.mutex);
-            for (std::int64_t t = 1; t < take; ++t) {
-              own.ranges.push_back(victim.ranges.back());
-              victim.ranges.pop_back();
-            }
+          for (std::int64_t t = 1; t < take; ++t) {
+            loot.push_back(victim.ranges.back());
+            victim.ranges.pop_back();
           }
+        }
+        if (!loot.empty()) {
+          std::lock_guard<std::mutex> ownLock(own.mutex);
+          own.ranges.insert(own.ranges.end(), loot.begin(), loot.end());
         }
       }
       if (!have) break;  // every deque empty: done (bodies never enqueue)

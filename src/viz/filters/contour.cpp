@@ -1,5 +1,6 @@
 #include "viz/filters/contour.h"
 
+#include <atomic>
 #include <cmath>
 #include <optional>
 
@@ -24,18 +25,13 @@ std::vector<double> ContourFilter::uniformIsovalues(const Field& field,
 
 namespace {
 
-// Interpolated position + scalar on a cut cube edge.
-struct EdgeVertex {
-  Vec3 position;
-  double scalar;
-};
-
 // Corner offsets in (i,j,k) follow the VTK hexahedron ordering.
 constexpr Id kCornerIjk[8][3] = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0},
                                  {0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {0, 1, 1}};
 
-EdgeVertex interpolateEdge(const Vec3 cornerPos[8], int edge,
-                           const double corner[8], double isovalue) {
+// The isovalue's position on a cut cube edge.
+Vec3 interpolateEdge(const Vec3 cornerPos[8], int edge, const double corner[8],
+                     double isovalue) {
   const auto* pair = McTables::kEdgeCorners[edge];
   const int a = pair[0];
   const int b = pair[1];
@@ -43,7 +39,7 @@ EdgeVertex interpolateEdge(const Vec3 cornerPos[8], int edge,
   const double vb = corner[b];
   const double denom = vb - va;
   const double t = denom != 0.0 ? (isovalue - va) / denom : 0.5;
-  return {lerp(cornerPos[a], cornerPos[b], t), isovalue};
+  return lerp(cornerPos[a], cornerPos[b], t);
 }
 
 }  // namespace
@@ -64,27 +60,30 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
   const Id rows = grid.numCellRows();
   const Id rowLen = grid.cellDims().i;
   const auto corner = grid.cellCornerOffsets();
+  // A row block is `rowGrain` consecutive cell rows: the unit of classify
+  // totals, of the scan, and of generate's write cursor.
   const Id rowGrain =
       std::max<Id>(1, util::kDefaultGrain / std::max<Id>(Id{1}, rowLen));
+  const auto numBlocks = static_cast<std::size_t>((rows + rowGrain - 1) /
+                                                  rowGrain);
   const std::vector<double>& values = field.data();
 
   Result result;
   result.profile.kernel = "contour";
   result.profile.elements = numCells;  // Moreland–Oldfield rate uses n
 
-  std::int64_t totalCrossed = 0;
+  // Exact integer sum of the blocks' crossed-cell counts, so the order
+  // blocks add in cannot change it.
+  std::atomic<std::int64_t> totalCrossed{0};
 
   // Per-pass classify artifacts, kept so every pass is classified before
-  // the output mesh is sized: the case index and scanned triangle
-  // offsets per cell plus the compacted active-cell list.  Isovalue
-  // counts are small (a handful), so holding all passes is cheap — and
-  // it lets the output arrays be allocated exactly once at their final
-  // size instead of growing (realloc + copy) per pass.
+  // the output mesh is sized: the case index per cell and, per row
+  // block, its triangle total — scanned in place into the block's first
+  // triangle.  Holding all passes lets the output arrays be allocated
+  // exactly once at their final size instead of growing per pass.
   struct Pass {
     util::ScratchVector<std::uint8_t> caseOf;
-    util::ScratchVector<std::int64_t> offsets;
-    std::vector<std::int64_t> active;
-    std::int64_t triangles = 0;
+    util::ScratchVector<std::int64_t> blockBase;
   };
   std::vector<Pass> passData(isovalues_.size());
   util::ScratchVector<std::uint8_t> above(ctx.arena(),
@@ -96,41 +95,44 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
     const double isovalue = isovalues_[pi];
     Pass& pass = passData[pi];
     pass.caseOf.acquire(ctx.arena(), static_cast<std::size_t>(numCells));
-    pass.offsets.acquire(ctx.arena(), static_cast<std::size_t>(numCells) + 1);
+    pass.blockBase.acquire(ctx.arena(), numBlocks);
 
     phase.emplace(ctx, "mc-classify");
-    // --- Pass 1: classify — compare each point once, then assemble the
-    // MC case per cell from the cached above/below bytes, caching the
-    // case index and the triangle count.  Cells are swept as i-rows with
-    // incremental index stepping (no per-cell ijk decode).
+    // --- Pass 1: classify — compare each point once, assemble and cache
+    // each cell's MC case from the above/below bytes, and sum each row
+    // block's triangles and crossed cells.  Cells are swept as i-rows
+    // with incremental index stepping (no per-cell ijk decode).
     //
     // Scalar variant: within a row the case is stepped from its
     // predecessor — the shared face's four corners (bits 1,2,5,6)
     // become bits 0,3,4,7, so only four corners are loaded per cell.
-    //
-    // Vectorized variant: the recycling trick carries a loop-to-loop
-    // dependency the compiler cannot vectorize, so instead each corner
-    // becomes one unit-stride byte stream at a fixed offset into the
-    // staged above[] buffer, and the case index is eight shifted ORs of
-    // those streams — eight loads per cell but branch-free, gather-free,
-    // and auto-vectorizable (one SIMD OR tree per lane).  The table
-    // lookup (a gather) moves to its own pass so it cannot inhibit the
-    // case loop.  Both variants compute the same integers, so the
-    // offsets, the active list, and the mesh stay bit-identical.
+    // Vectorized variant: that recycling is a loop-carried dependency, so
+    // instead each corner is a unit-stride byte stream at a fixed offset
+    // into above[] and the case is eight shifted ORs of the streams —
+    // branch-free and auto-vectorizable.  The table lookup (a gather)
+    // runs as its own loop so it cannot inhibit the case loop.  Both
+    // variants compute the same integers, so the output is bit-identical.
     const bool vectorize = ctx.backend().vectorized();
     util::parallelFor(ctx, 0, numPoints, [&](Id p) {
       above[static_cast<std::size_t>(p)] =
           values[static_cast<std::size_t>(p)] >= isovalue ? 1 : 0;
     });
-    util::parallelForChunks(
+    util::parallelForBlocks(
         ctx, 0, rows,
-        [&](Id rowBegin, Id rowEnd) {
+        [&](Id block, Id rowBegin, Id rowEnd) {
+          std::int64_t tris = 0;
+          std::int64_t crossed = 0;
           for (Id row = rowBegin; row < rowEnd; ++row) {
-            Id cell = row * rowLen;
-            Id base = grid.cellRowFirstPointId(row);
+            const std::uint8_t* abv =
+                above.data() +
+                static_cast<std::size_t>(grid.cellRowFirstPointId(row));
+            std::uint8_t* caseRow =
+                pass.caseOf.data() + static_cast<std::size_t>(row * rowLen);
+            // Local trip count: the byte stores through caseRow may alias
+            // the by-reference capture of rowLen as far as the vectorizer
+            // can prove, which blocks the sweep.
+            const Id n = rowLen;
             if (vectorize) {
-              const std::uint8_t* abv =
-                  above.data() + static_cast<std::size_t>(base);
               const std::uint8_t* s0 = abv + corner[0];
               const std::uint8_t* s1 = abv + corner[1];
               const std::uint8_t* s2 = abv + corner[2];
@@ -139,73 +141,53 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
               const std::uint8_t* s5 = abv + corner[5];
               const std::uint8_t* s6 = abv + corner[6];
               const std::uint8_t* s7 = abv + corner[7];
-              std::uint8_t* caseRow =
-                  pass.caseOf.data() + static_cast<std::size_t>(cell);
-              // Local trip count: the byte stores through caseRow may
-              // alias the by-reference capture of rowLen as far as the
-              // vectorizer can prove, which blocks the sweep.
-              const Id n = rowLen;
               for (Id i = 0; i < n; ++i) {
                 caseRow[i] = static_cast<std::uint8_t>(
                     s0[i] | (s1[i] << 1) | (s2[i] << 2) | (s3[i] << 3) |
                     (s4[i] << 4) | (s5[i] << 5) | (s6[i] << 6) |
                     (s7[i] << 7));
               }
-              std::int64_t* countRow =
-                  pass.offsets.data() + static_cast<std::size_t>(cell);
+            } else {
+              int caseIndex = 0;
               for (Id i = 0; i < n; ++i) {
-                countRow[i] = tables.triangleCount[caseRow[i]];
-              }
-              continue;
-            }
-            int caseIndex = 0;
-            for (Id i = 0; i < rowLen; ++i, ++cell, ++base) {
-              if (i == 0) {
-                caseIndex = 0;
-                for (int c = 0; c < 8; ++c) {
-                  caseIndex |=
-                      above[static_cast<std::size_t>(base + corner[c])] << c;
+                if (i == 0) {
+                  for (int c = 0; c < 8; ++c) caseIndex |= abv[corner[c]] << c;
+                } else {
+                  caseIndex = ((caseIndex >> 1) & 1) |
+                              (((caseIndex >> 2) & 1) << 3) |
+                              (((caseIndex >> 5) & 1) << 4) |
+                              (((caseIndex >> 6) & 1) << 7) |
+                              (abv[i + corner[1]] << 1) |
+                              (abv[i + corner[2]] << 2) |
+                              (abv[i + corner[5]] << 5) |
+                              (abv[i + corner[6]] << 6);
                 }
-              } else {
-                caseIndex =
-                    ((caseIndex >> 1) & 1) | (((caseIndex >> 2) & 1) << 3) |
-                    (((caseIndex >> 5) & 1) << 4) |
-                    (((caseIndex >> 6) & 1) << 7) |
-                    (above[static_cast<std::size_t>(base + corner[1])] << 1) |
-                    (above[static_cast<std::size_t>(base + corner[2])] << 2) |
-                    (above[static_cast<std::size_t>(base + corner[5])] << 5) |
-                    (above[static_cast<std::size_t>(base + corner[6])] << 6);
+                caseRow[i] = static_cast<std::uint8_t>(caseIndex);
               }
-              pass.caseOf[static_cast<std::size_t>(cell)] =
-                  static_cast<std::uint8_t>(caseIndex);
-              pass.offsets[static_cast<std::size_t>(cell)] =
-                  tables.triangleCount[static_cast<std::size_t>(caseIndex)];
+            }
+            for (Id i = 0; i < n; ++i) {
+              const int count = tables.triangleCount[caseRow[i]];
+              tris += count;
+              crossed += count > 0;
             }
           }
+          pass.blockBase[static_cast<std::size_t>(block)] = tris;
+          totalCrossed.fetch_add(crossed, std::memory_order_relaxed);
         },
         rowGrain);
 
     phase.emplace(ctx, "mc-scan");
-    // Compacted active-cell list: the generate pass visits only crossed
-    // cells.
-    pass.active = util::parallelSelect(ctx, numCells, [&](std::int64_t cell) {
-      return pass.offsets[static_cast<std::size_t>(cell)] > 0;
-    });
-    totalCrossed += static_cast<std::int64_t>(pass.active.size());
-
-    pass.offsets[static_cast<std::size_t>(numCells)] = 0;
-    pass.triangles = util::exclusiveScan(ctx, pass.offsets.data(),
-                                         numCells + 1);
-    totalTriangles += pass.triangles;
-    result.passTriangles.push_back(pass.triangles);
+    // Scan the row-block totals into each block's first triangle.
+    result.passTriangles.push_back(util::exclusiveScan(
+        ctx, pass.blockBase.data(), static_cast<std::int64_t>(numBlocks)));
+    totalTriangles += result.passTriangles.back();
   }
   phase.reset();
 
-  // --- Pass 2: generate — interpolate and write triangles for the
-  // crossed cells only, re-reading the cached case index instead of
-  // re-classifying the corners.  Output goes straight into the result
-  // mesh at a per-pass base offset (no per-pass staging mesh + append
-  // copy); the layout matches what sequential appends would produce.
+  // --- Pass 2: generate — walk each row block's cells in ascending order
+  // and write the triangles of those whose cached case emits any at the
+  // block's scanned base plus a running cursor: the slots a per-cell scan
+  // would assign, straight into the result mesh at a per-pass base.
   TriangleMesh& surface = result.surface;
   surface.points.resize(static_cast<std::size_t>(totalTriangles) * 3);
   surface.pointScalars.resize(static_cast<std::size_t>(totalTriangles) * 3);
@@ -216,68 +198,75 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
   for (std::size_t pi = 0; pi < isovalues_.size(); ++pi) {
     const double isovalue = isovalues_[pi];
     const Pass& pass = passData[pi];
-    const std::int64_t* offsets = pass.offsets.data();
-    const std::uint8_t* caseOf = pass.caseOf.data();
 
-    util::parallelFor(ctx, 0, static_cast<Id>(pass.active.size()), [&](Id n) {
-      const Id cell = pass.active[static_cast<std::size_t>(n)];
-      const std::int64_t first = offsets[static_cast<std::size_t>(cell)];
-      const std::int64_t count =
-          offsets[static_cast<std::size_t>(cell) + 1] - first;
+    util::parallelForBlocks(
+        ctx, 0, rows,
+        [&](Id block, Id rowBegin, Id rowEnd) {
+          std::int64_t next = pass.blockBase[static_cast<std::size_t>(block)];
+          for (Id row = rowBegin; row < rowEnd; ++row) {
+            const std::uint8_t* caseRow =
+                pass.caseOf.data() + static_cast<std::size_t>(row * rowLen);
+            const Id rowBase = grid.cellRowFirstPointId(row);
+            Id3 c = grid.cellRowIjk(row);
+            for (c.i = 0; c.i < rowLen; ++c.i) {
+              const int caseIndex = caseRow[c.i];
+              const int count =
+                  tables.triangleCount[static_cast<std::size_t>(caseIndex)];
+              if (count == 0) continue;
 
-      const Id3 c = grid.cellIjk(cell);
-      const Id base = grid.pointId(c);
-      double corners[8];
-      Vec3 cornerPos[8];
-      for (int i = 0; i < 8; ++i) {
-        corners[i] = values[static_cast<std::size_t>(base + corner[i])];
-        cornerPos[i] = grid.pointPosition(Id3{c.i + kCornerIjk[i][0],
-                                              c.j + kCornerIjk[i][1],
-                                              c.k + kCornerIjk[i][2]});
-      }
-      const int caseIndex = caseOf[static_cast<std::size_t>(cell)];
+              const Id base = rowBase + c.i;
+              double corners[8];
+              Vec3 cornerPos[8];
+              for (int i = 0; i < 8; ++i) {
+                corners[i] = values[static_cast<std::size_t>(base + corner[i])];
+                cornerPos[i] = grid.pointPosition(
+                    Id3{c.i + kCornerIjk[i][0], c.j + kCornerIjk[i][1],
+                        c.k + kCornerIjk[i][2]});
+              }
 
-      // Estimate the field gradient from corner differences; used to give
-      // every triangle a consistent orientation (normal toward lower
-      // values, i.e. pointing out of the enclosed high-valued region).
-      const Vec3 gradient{
-          (corners[1] - corners[0]) + (corners[2] - corners[3]) +
-              (corners[5] - corners[4]) + (corners[6] - corners[7]),
-          (corners[3] - corners[0]) + (corners[2] - corners[1]) +
-              (corners[7] - corners[4]) + (corners[6] - corners[5]),
-          (corners[4] - corners[0]) + (corners[5] - corners[1]) +
-              (corners[6] - corners[2]) + (corners[7] - corners[3])};
+              // Estimate the field gradient from corner differences; used
+              // to give every triangle a consistent orientation (normal
+              // toward lower values, i.e. pointing out of the enclosed
+              // high-valued region).
+              const Vec3 gradient{
+                  (corners[1] - corners[0]) + (corners[2] - corners[3]) +
+                      (corners[5] - corners[4]) + (corners[6] - corners[7]),
+                  (corners[3] - corners[0]) + (corners[2] - corners[1]) +
+                      (corners[7] - corners[4]) + (corners[6] - corners[5]),
+                  (corners[4] - corners[0]) + (corners[5] - corners[1]) +
+                      (corners[6] - corners[2]) + (corners[7] - corners[3])};
 
-      const auto& tri = tables.triangles[static_cast<std::size_t>(caseIndex)];
-      for (std::int64_t t = 0; t < count; ++t) {
-        EdgeVertex v[3];
-        for (int k = 0; k < 3; ++k) {
-          const int edge = tri[static_cast<std::size_t>(3 * t + k)];
-          v[k] = interpolateEdge(cornerPos, edge, corners, isovalue);
-        }
-        const Vec3 normal =
-            cross(v[1].position - v[0].position, v[2].position - v[0].position);
-        if (dot(normal, gradient) > 0.0) std::swap(v[1], v[2]);
-
-        const std::size_t vbase =
-            passBase + static_cast<std::size_t>(first + t) * 3;
-        for (int k = 0; k < 3; ++k) {
-          surface.points[vbase + static_cast<std::size_t>(k)] = v[k].position;
-          surface.pointScalars[vbase + static_cast<std::size_t>(k)] =
-              v[k].scalar;
-          surface.connectivity[vbase + static_cast<std::size_t>(k)] =
-              static_cast<Id>(vbase) + k;
-        }
-      }
-    });
-    passBase += static_cast<std::size_t>(pass.triangles) * 3;
+              const auto& tri =
+                  tables.triangles[static_cast<std::size_t>(caseIndex)];
+              for (int t = 0; t < count; ++t, ++next) {
+                Vec3 v[3];
+                for (int k = 0; k < 3; ++k) {
+                  const int edge = tri[static_cast<std::size_t>(3 * t + k)];
+                  v[k] = interpolateEdge(cornerPos, edge, corners, isovalue);
+                }
+                if (dot(cross(v[1] - v[0], v[2] - v[0]), gradient) > 0.0) {
+                  std::swap(v[1], v[2]);
+                }
+                const std::size_t vbase =
+                    passBase + static_cast<std::size_t>(next) * 3;
+                for (std::size_t k = 0; k < 3; ++k) {
+                  surface.points[vbase + k] = v[k];
+                  surface.pointScalars[vbase + k] = isovalue;
+                  surface.connectivity[vbase + k] = static_cast<Id>(vbase + k);
+                }
+              }
+            }
+          }
+        },
+        rowGrain);
+    passBase += static_cast<std::size_t>(result.passTriangles[pi]) * 3;
   }
   phase.reset();
 
   // --- Workload characterization (real counts from this run). -----------
   const double passes = static_cast<double>(isovalues_.size());
   const double cells = static_cast<double>(numCells) * passes;
-  const double crossed = static_cast<double>(totalCrossed);
+  const double crossed = static_cast<double>(totalCrossed.load());
   const double tris = static_cast<double>(result.surface.numTriangles());
 
   // Classify: per cell, 8 corner loads, case assembly, table lookup,
@@ -312,8 +301,8 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
   generate.parallelFraction = 0.99;
   generate.overlap = 0.85;
 
-  // The exclusive scan between passes (a parallel three-phase tree scan
-  // here, matching VTK-m's device scan).
+  // The exclusive scan between passes, charged as VTK-m's per-cell
+  // device scan (this host kernel scans only the row-block totals).
   WorkProfile& scan = result.profile.addPhase("mc-scan");
   scan.intOps = cells * 4;
   scan.memOps = cells * 3;

@@ -4,10 +4,13 @@
 // evaluates the filter at several isovalues (the study used 10) and
 // combines the resulting geometry into one output surface.
 //
-// Implementation: the classic two-pass data-parallel structure VTK-m
-// uses — a classify pass counts output triangles per cell, an exclusive
-// scan allocates exact-size output, and a generate pass interpolates and
-// writes triangles with no synchronization.
+// Implementation: VTK-m's classify → scan → generate structure, counted
+// per row block (a fixed run of cell rows) instead of per cell.  Classify
+// caches each cell's MC case and sums each block's triangles; an
+// exclusive scan of the block totals sizes the output exactly; generate
+// walks each block's cells in order and writes the triangles of those
+// that emit any at the block's base plus a running cursor, with no
+// synchronization.
 #pragma once
 
 #include <string>

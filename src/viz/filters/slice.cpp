@@ -28,7 +28,6 @@ SliceFilter::Result SliceFilter::run(util::ExecutionContext& ctx,
   // (avoids copying the source's data fields).
   UniformGrid work(grid.pointDims(), grid.origin(), grid.spacing());
 
-  double totalCrossed = 0.0;
   double totalTris = 0.0;
 
   for (const Plane& plane : planes) {
@@ -59,11 +58,6 @@ SliceFilter::Result SliceFilter::run(util::ExecutionContext& ctx,
     });
 
     totalTris += static_cast<double>(cut.surface.numTriangles());
-    for (const auto& phase : cut.profile.phases) {
-      if (phase.name == "mc-generate") {
-        totalCrossed += phase.bytesReused / (8.0 * 8.0);
-      }
-    }
     result.surface.append(cut.surface);
   }
 
@@ -113,7 +107,6 @@ SliceFilter::Result SliceFilter::run(util::ExecutionContext& ctx,
   scan.parallelFraction = 0.9;
   scan.overlap = 0.9;
 
-  (void)totalCrossed;
   return result;
 }
 

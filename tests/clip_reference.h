@@ -7,31 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <span>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "util/backend.h"
-#include "util/thread_pool.h"
+#include "reference_common.h"
 #include "viz/filters/clip_common.h"
 
 namespace pviz::vis::clipref {
 
-/// A unit cube of `cells`³ cells carrying an oscillating point field "w"
-/// in [-1.5, 1.5], so cut cells show a wide mix of corner sign patterns.
+/// A unit cube of `cells`³ cells carrying the oscillating field "w".
 inline UniformGrid wavyGrid(Id cells) {
-  UniformGrid g = UniformGrid::cube(cells);
-  Field w = Field::zeros("w", Association::Points, 1, g.numPoints());
-  for (Id p = 0; p < g.numPoints(); ++p) {
-    const Vec3 x = g.pointPosition(p);
-    w.setScalar(p, std::sin(11.0 * x.x) * std::cos(7.0 * x.y) +
-                       0.5 * std::sin(13.0 * x.z));
-  }
-  g.addField(std::move(w));
-  return g;
+  return reftest::wavyGrid({cells, cells, cells});
 }
 
 /// Corners of `cell` with clip >= 0: 0 is dropped, 8 kept whole, else cut.
@@ -65,30 +51,8 @@ inline void appendClippedCell(const UniformGrid& grid, Id cell,
   }
 }
 
-/// One backend × pool-size configuration.
-struct ExecConfig {
-  unsigned workers;
-  const exec::Backend* backend;
-
-  std::string label() const {
-    return std::string(backend->token()) + " backend, pool " +
-           std::to_string(workers);
-  }
-};
-
-/// Every backend × pools of 1, 2 and the hardware thread count.
-inline std::vector<ExecConfig> execConfigs() {
-  std::vector<ExecConfig> out;
-  for (unsigned workers :
-       {1u, 2u, std::max(1u, std::thread::hardware_concurrency())}) {
-    for (const exec::Backend* backend :
-         {&exec::serialBackend(), &exec::threadedBackend(),
-          &exec::vectorizedBackend()}) {
-      out.push_back({workers, backend});
-    }
-  }
-  return out;
-}
+using reftest::ExecConfig;
+using reftest::execConfigs;
 
 /// Bitwise equality without printing megabytes on failure.
 inline void expectIdentical(const TetMesh& got, const TetMesh& want) {

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <map>
 
+#include "contour_reference.h"
 #include "util/exec_context.h"
+#include "util/parallel.h"
 #include "viz/filters/contour.h"
 
 namespace pviz::vis {
@@ -218,6 +220,61 @@ TEST_P(ContourIsovalueSweep, AreaTracksRadiusAndSurfaceCloses) {
 INSTANTIATE_TEST_SUITE_P(Radii, ContourIsovalueSweep,
                          ::testing::Values(0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
                                            0.45));
+
+// ---- the row-block path against the cell-by-cell serial reference ----
+
+/// Compare the filter with the reference on every config; returns the
+/// reference.
+contourref::Reference expectMatchesReferenceOnEveryConfig(
+    const UniformGrid& g, const std::vector<double>& isovalues) {
+  contourref::Reference reference = contourref::contour(g, "w", isovalues);
+  ContourFilter filter;
+  filter.setIsovalues(isovalues);
+  for (const contourref::ExecConfig& config : contourref::execConfigs()) {
+    SCOPED_TRACE(config.label());
+    util::ThreadPool pool(config.workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(*config.backend);
+    contourref::expectMatches(filter.run(ctx, g, "w"), reference);
+  }
+  return reference;
+}
+
+TEST(ContourReference, RowsLongerThanTheGrainAreOneRowBlocks) {
+  // 1100 cells per row: rowGrain is 1, so every row is its own block.
+  const Id3 cells{1100, 4, 3};
+  ASSERT_GE(cells.i, util::kDefaultGrain);
+  const UniformGrid g = contourref::wavyGrid(cells);
+  EXPECT_GT(expectMatchesReferenceOnEveryConfig(g, {-0.4, 0.0, 0.7})
+                .crossedCells,
+            0);
+}
+
+TEST(ContourReference, RowCountNotAMultipleOfTheRowGrain) {
+  // 20-cell rows give rowGrain 51; 13 × 11 = 143 rows leave a last
+  // block of 41 rows.
+  const Id3 cells{20, 13, 11};
+  const Id rowGrain = util::kDefaultGrain / cells.i;
+  ASSERT_NE((cells.j * cells.k) % rowGrain, 0);
+  const UniformGrid g = contourref::wavyGrid(cells);
+  EXPECT_GT(expectMatchesReferenceOnEveryConfig(g, {-0.9, -0.2, 0.3, 1.1})
+                .crossedCells,
+            0);
+}
+
+TEST(ContourReference, OneByOneByNColumn) {
+  // Rows of one cell: the whole column is a single, partial block.
+  const UniformGrid g = contourref::wavyGrid({1, 1, 200});
+  EXPECT_GT(
+      expectMatchesReferenceOnEveryConfig(g, {-0.5, 0.25}).crossedCells, 0);
+}
+
+TEST(ContourReference, FieldWithZeroCrossings) {
+  // Every isovalue lies outside [-1.5, 1.5]: no cell emits anything.
+  const UniformGrid g = contourref::wavyGrid({30, 20, 10});
+  EXPECT_EQ(
+      expectMatchesReferenceOnEveryConfig(g, {-2.0, 2.0}).crossedCells, 0);
+}
 
 }  // namespace
 }  // namespace pviz::vis

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -29,10 +31,12 @@
 #include "viz/filters/contour.h"
 #include "viz/filters/isovolume.h"
 #include "viz/filters/particle_advection.h"
+#include "viz/filters/slice.h"
 #include "viz/filters/threshold.h"
 #include "viz/rendering/bvh.h"
 #include "viz/rendering/external_faces.h"
 #include "viz/rendering/ray_tracer.h"
+#include "viz/rendering/volume_renderer.h"
 
 namespace pviz::vis {
 namespace {
@@ -128,6 +132,19 @@ void expectIdentical(const PolylineSet& a, const PolylineSet& b) {
     EXPECT_EQ(a.points[i].z, b.points[i].z);
   }
   EXPECT_EQ(a.pointScalars, b.pointScalars);
+}
+
+void expectIdentical(const Image& a, const Image& b) {
+  ASSERT_EQ(a.width(), b.width());
+  ASSERT_EQ(a.height(), b.height());
+  for (int y = 0; y < a.height(); ++y) {
+    for (int x = 0; x < a.width(); ++x) {
+      EXPECT_EQ(a.at(x, y).r, b.at(x, y).r);
+      EXPECT_EQ(a.at(x, y).g, b.at(x, y).g);
+      EXPECT_EQ(a.at(x, y).b, b.at(x, y).b);
+      EXPECT_EQ(a.at(x, y).a, b.at(x, y).a);
+    }
+  }
 }
 
 /// A grid with a custom per-point scalar built from a callable.
@@ -352,17 +369,139 @@ TEST(KernelDeterminism, RayTracedImageAcrossConfigs) {
   const Image reference = serialReference(render);
   for (const ExecConfig& cfg : execConfigs()) {
     SCOPED_TRACE(cfg.label());
-    const Image image = withExec(cfg.workers, *cfg.backend, render);
-    ASSERT_EQ(image.width(), reference.width());
-    ASSERT_EQ(image.height(), reference.height());
-    for (int y = 0; y < image.height(); ++y) {
-      for (int x = 0; x < image.width(); ++x) {
-        EXPECT_EQ(image.at(x, y).r, reference.at(x, y).r);
-        EXPECT_EQ(image.at(x, y).g, reference.at(x, y).g);
-        EXPECT_EQ(image.at(x, y).b, reference.at(x, y).b);
-        EXPECT_EQ(image.at(x, y).a, reference.at(x, y).a);
-      }
+    expectIdentical(withExec(cfg.workers, *cfg.backend, render), reference);
+  }
+}
+
+// ---- arena hygiene: no kernel reads a scratch byte it did not write ---
+
+/// Every filter's output on one grid.
+struct AllFilterOutputs {
+  TriangleMesh contour, slice, faces;
+  HexSubset threshold, isoWhole;
+  ClipResult clip;
+  TetMesh isoCut;
+  PolylineSet streamlines;
+  Image traced{1, 1}, volume{1, 1};
+};
+
+/// One filter run on a context, storing its output into the struct.
+using FilterRun =
+    std::function<void(util::ExecutionContext&, AllFilterOutputs&)>;
+
+std::vector<FilterRun> everyFilter(const UniformGrid& g) {
+  return {
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        ContourFilter f;
+        f.setIsovalues(ContourFilter::uniformIsovalues(g.field("energy"), 3));
+        out.contour = f.run(ctx, g, "energy").surface;
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        out.slice = SliceFilter().run(ctx, g, "energy").surface;
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        out.faces = extractExternalFaces(ctx, g, "energy").mesh;
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        ThresholdFilter f;
+        f.setRange(1.2, 2.2);
+        out.threshold = f.run(ctx, g, "energy").kept;
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        ClipSphereFilter f;
+        f.setSphere(g.bounds().center(), 0.3);
+        out.clip = f.run(ctx, g, "energy").clipped;
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        IsovolumeFilter f;
+        f.setRange(1.3, 2.1);
+        auto result = f.run(ctx, g, "energy");
+        out.isoWhole = std::move(result.wholeCells);
+        out.isoCut = std::move(result.cutPieces);
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        ParticleAdvectionFilter f;
+        f.setSeedCount(300);
+        f.setMaxSteps(150);
+        f.setStepLength(0.01);
+        out.streamlines = f.run(ctx, g, "velocity").streamlines;
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        RayTracer f;
+        f.setImageSize(48, 48);
+        f.setCameraCount(1);
+        out.traced = f.run(ctx, g, "energy").images.at(0);
+      },
+      [&g](util::ExecutionContext& ctx, AllFilterOutputs& out) {
+        VolumeRenderer f;
+        f.setImageSize(48, 48);
+        f.setCameraCount(1);
+        out.volume = f.run(ctx, g, "energy").images.at(0);
+      },
+  };
+}
+
+/// Put `perClass` blocks of every size class up to `largestClass`,
+/// filled with 0xA5, on top of the arena's free lists, so the next
+/// acquires of each class are served poisoned blocks.
+void poisonFreeLists(util::ScratchArena& arena, std::size_t largestClass,
+                     int perClass) {
+  std::vector<void*> blocks;
+  for (std::size_t cls = util::ScratchArena::sizeClass(1); cls <= largestClass;
+       cls *= 2) {
+    for (int i = 0; i < perClass; ++i) {
+      blocks.push_back(arena.acquire(cls));
+      std::memset(blocks.back(), 0xA5, cls);
     }
+  }
+  for (void* block : blocks) arena.release(block);
+}
+
+TEST(KernelDeterminism, PoisonedArenaMatchesFreshContext) {
+  // Arena blocks are handed out uninitialized, fresh or reused.  Each
+  // filter runs once on its own fresh context and once on a context
+  // whose free lists were just topped with poisoned blocks of every
+  // size class the filters ask for at this grid size, several deep: a
+  // kernel that reads scratch before writing it diverges between the
+  // two.
+  const UniformGrid g = sim::makeCloverField(16);
+  constexpr std::size_t kLargestClass = std::size_t{1} << 20;
+  constexpr int kBlocksPerClass = 16;
+  for (const exec::Backend* backend :
+       {&exec::serialBackend(), &exec::threadedBackend(),
+        &exec::vectorizedBackend()}) {
+    SCOPED_TRACE(backend->token());
+    AllFilterOutputs fresh;
+    AllFilterOutputs poisoned;
+    util::ThreadPool pool(2);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(*backend);
+    for (const FilterRun& run : everyFilter(g)) {
+      withExec(2, *backend, [&](util::ExecutionContext& freshCtx) {
+        run(freshCtx, fresh);
+        return 0;
+      });
+      poisonFreeLists(ctx.arena(), kLargestClass, kBlocksPerClass);
+      const util::ScratchArena::Stats before = ctx.arena().stats();
+      run(ctx, poisoned);
+      // No fresh block was handed out: every acquire took a free-list
+      // block, poisoned unless the same run released it first.
+      const util::ScratchArena::Stats after = ctx.arena().stats();
+      EXPECT_EQ(after.acquires - before.acquires,
+                after.reuseHits - before.reuseHits);
+    }
+    expectIdentical(poisoned.contour, fresh.contour);
+    expectIdentical(poisoned.slice, fresh.slice);
+    expectIdentical(poisoned.faces, fresh.faces);
+    expectIdentical(poisoned.threshold, fresh.threshold);
+    expectIdentical(poisoned.clip.cutPieces, fresh.clip.cutPieces);
+    expectIdentical(poisoned.clip.wholeCells, fresh.clip.wholeCells);
+    EXPECT_EQ(poisoned.clip.cellsCut, fresh.clip.cellsCut);
+    expectIdentical(poisoned.isoWhole, fresh.isoWhole);
+    expectIdentical(poisoned.isoCut, fresh.isoCut);
+    expectIdentical(poisoned.streamlines, fresh.streamlines);
+    expectIdentical(poisoned.traced, fresh.traced);
+    expectIdentical(poisoned.volume, fresh.volume);
   }
 }
 
