@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,21 +16,60 @@ namespace pviz::core {
 
 namespace {
 
-std::string cacheKey(Algorithm algorithm, vis::Id size,
-                     const AlgorithmParams& p) {
-  std::ostringstream os;
-  // Whitespace-free (the cache format is token-separated).
-  os << "alg" << static_cast<int>(algorithm) << '|' << size << '|' << p.isovalueCount
-     << '|' << p.seedCount << '|' << p.maxSteps << '|' << p.cameraCount
-     << '|' << p.imageWidth << 'x' << p.imageHeight << '|' << p.advectionMode;
-  // Decomposition changes the profile (ghost-exchange / block-stitch
-  // phases), so it is part of the key; the execution backend is not
-  // (outputs and profiles are backend-invariant).
-  os << "|b" << p.blockCount << "g" << p.ghostLayers;
-  return os.str();
+/// The disk cache at `path`, or an empty cache when the file is corrupt:
+/// a file that fails to parse is moved aside to `<path>.corrupt` (kept
+/// for inspection) so the next save starts a fresh cache instead of
+/// failing every characterization behind it.
+std::map<std::string, vis::KernelProfile> loadOrQuarantine(
+    const std::string& path) {
+  try {
+    return loadProfileCache(path);
+  } catch (const Error& e) {
+    const std::string aside = path + ".corrupt";
+    const bool moved = std::rename(path.c_str(), aside.c_str()) == 0;
+    PVIZ_LOG_WARN("profile cache '" << path << "' is corrupt (" << e.what()
+                                    << "); "
+                                    << (moved ? "moved to '" + aside + "'"
+                                              : std::string("not moved"))
+                                    << ", continuing with an empty cache");
+    return {};
+  }
+}
+
+/// Shortest round-trip form of a double (to_chars), so equal values
+/// always print alike and distinct values never collide.
+std::string number(double value) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 }  // namespace
+
+std::string workKey(Algorithm algorithm, vis::Id size,
+                    const AlgorithmParams& params) {
+  // One exhaustive binding: a field added to AlgorithmParams fails to
+  // compile here until the key lists it.
+  const auto& [isovalueCount, thresholdLo, thresholdHi, clipRadius,
+               isovolumeLo, isovolumeHi, seedCount, maxSteps, stepLength,
+               advectionMode, advectionSchedule, cameraCount, imageWidth,
+               imageHeight, sampledCameraCount, blockCount, ghostLayers] =
+      params;
+  (void)advectionSchedule;  // bit-identical schedules share one profile
+  using std::to_string;
+  // Decomposition (|b..g..) changes the profile through its ghost-exchange
+  // and block-stitch phases; the execution backend is no parameter at
+  // all (profiles are backend-invariant).
+  return "v" + to_string(kProfileSchemaVersion) + '|' +
+         algorithmToken(algorithm) + '|' + to_string(size) + "|iso" +
+         to_string(isovalueCount) + "|thr" + number(thresholdLo) + ',' +
+         number(thresholdHi) + "|clip" + number(clipRadius) + "|ivol" +
+         number(isovolumeLo) + ',' + number(isovolumeHi) + "|seeds" +
+         to_string(seedCount) + "|steps" + to_string(maxSteps) + "|h" +
+         number(stepLength) + '|' + advectionMode + "|cam" +
+         to_string(cameraCount) + ':' + to_string(sampledCameraCount) + '|' +
+         to_string(imageWidth) + 'x' + to_string(imageHeight) + "|b" +
+         to_string(blockCount) + 'g' + to_string(ghostLayers);
+}
 
 Study::Study(StudyConfig config)
     : config_(std::move(config)),
@@ -56,8 +96,9 @@ const vis::UniformGrid& Study::dataset(vis::Id size) {
 
 const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
                                               Algorithm algorithm,
-                                              vis::Id size) {
-  const ProfileKey key{static_cast<int>(algorithm), size};
+                                              vis::Id size,
+                                              const AlgorithmParams& params) {
+  const std::string key = workKey(algorithm, size, params);
 
   // Claim the key or join a characterization already in flight.
   // profiles_ is a node-based map, so returned references stay valid
@@ -74,15 +115,13 @@ const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
 
   vis::KernelProfile profile;
   try {
-    // On-disk cache lookup.
-    const std::string diskKey = cacheKey(algorithm, size, config_.params);
     bool fromDisk = false;
     if (!config_.cachePath.empty()) {
       std::lock_guard diskLock(diskCacheMutex_);
-      auto disk = loadProfileCache(config_.cachePath);
-      auto hit = disk.find(diskKey);
+      auto disk = loadOrQuarantine(config_.cachePath);
+      auto hit = disk.find(key);
       if (hit != disk.end()) {
-        PVIZ_LOG_INFO("profile cache hit: " << diskKey);
+        PVIZ_LOG_INFO("profile cache hit: " << key);
         profile = std::move(hit->second);
         fromDisk = true;
       }
@@ -91,11 +130,11 @@ const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
     if (!fromDisk) {
       PVIZ_LOG_INFO("characterizing " << algorithmName(algorithm) << " at "
                                       << size << "^3");
-      profile = runAlgorithm(ctx, algorithm, dataset(size), config_.params);
+      profile = runAlgorithm(ctx, algorithm, dataset(size), params);
       if (!config_.cachePath.empty()) {
         std::lock_guard diskLock(diskCacheMutex_);
-        auto disk = loadProfileCache(config_.cachePath);
-        disk[diskKey] = profile;
+        auto disk = loadOrQuarantine(config_.cachePath);
+        disk[key] = profile;
         saveProfileCache(config_.cachePath, disk);
       }
     }
@@ -113,111 +152,39 @@ const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
   return inserted->second;
 }
 
-vis::KernelProfile Study::characterizeWith(util::ExecutionContext& ctx,
-                                           Algorithm algorithm, vis::Id size,
-                                           const AlgorithmParams& params) {
-  // No in-memory memo (it is keyed on the configured params), but the
-  // disk cache applies: its key covers every overridable parameter, so
-  // an override never collides with a configured-params entry.  The
-  // advection schedule is deliberately absent from the key — schedules
-  // are bit-identical, so every schedule maps to the same entry.
-  const std::string diskKey = cacheKey(algorithm, size, params);
-  if (!config_.cachePath.empty()) {
-    std::lock_guard diskLock(diskCacheMutex_);
-    auto disk = loadProfileCache(config_.cachePath);
-    auto hit = disk.find(diskKey);
-    if (hit != disk.end()) {
-      PVIZ_LOG_INFO("profile cache hit: " << diskKey);
-      return hit->second;
-    }
-  }
-  PVIZ_LOG_INFO("characterizing " << algorithmName(algorithm) << " at "
-                                  << size << "^3 (request overrides)");
-  vis::KernelProfile profile =
-      runAlgorithm(ctx, algorithm, dataset(size), params);
-  if (!config_.cachePath.empty()) {
-    std::lock_guard diskLock(diskCacheMutex_);
-    auto disk = loadProfileCache(config_.cachePath);
-    disk[diskKey] = profile;
-    saveProfileCache(config_.cachePath, disk);
-  }
-  return profile;
-}
-
 Measurement Study::measure(util::ExecutionContext& ctx, Algorithm algorithm,
                            vis::Id size, double capWatts) {
-  return measure(ctx, algorithm, size, capWatts, config_.cycles);
-}
-
-Measurement Study::measure(util::ExecutionContext& ctx, Algorithm algorithm,
-                           vis::Id size, double capWatts, int cycles) {
-  PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
-  const vis::KernelProfile& once = characterize(ctx, algorithm, size);
-  return modelProfile(ctx, algorithm, once, capWatts, cycles);
-}
-
-Measurement Study::modelProfile(util::ExecutionContext& ctx,
-                                Algorithm algorithm,
-                                const vis::KernelProfile& once,
-                                double capWatts, int cycles) {
-  vis::KernelProfile scaled = scaleKernelWork(once, config_.workScale);
-  if (cycles > 1) scaled = repeatKernel(scaled, cycles);
-  auto scope = ctx.phase("simulate/" + algorithmName(algorithm));
-  return simulator_.run(scaled, capWatts, &ctx.cancel());
-}
-
-std::vector<ConfigRecord> Study::capSweep(util::ExecutionContext& ctx,
-                                          Algorithm algorithm, vis::Id size) {
-  return capSweep(ctx, algorithm, size, config_.capsWatts, config_.cycles);
+  return capSweep(ctx, algorithm, size, {capWatts}, config_.cycles,
+                  config_.params)
+      .front()
+      .measurement;
 }
 
 std::vector<ConfigRecord> Study::capSweep(util::ExecutionContext& ctx,
                                           Algorithm algorithm, vis::Id size,
                                           const std::vector<double>& capsWatts,
-                                          int cycles) {
+                                          int cycles,
+                                          const AlgorithmParams& params) {
   PVIZ_REQUIRE(!capsWatts.empty(), "cap sweep needs at least one cap");
+  PVIZ_REQUIRE(cycles >= 1, "cap sweep needs at least one cycle");
+  // Characterize once; the per-cap loop only touches the package model.
+  vis::KernelProfile scaled = scaleKernelWork(
+      characterize(ctx, algorithm, size, params), config_.workScale);
+  if (cycles > 1) scaled = repeatKernel(scaled, cycles);
   std::vector<ConfigRecord> records;
   records.reserve(capsWatts.size());
-  Measurement baseline;
-  for (std::size_t i = 0; i < capsWatts.size(); ++i) {
-    const double cap = capsWatts[i];
+  for (const double cap : capsWatts) {
     ConfigRecord record;
     record.algorithm = algorithm;
     record.size = size;
     record.capWatts = cap;
-    record.measurement = measure(ctx, algorithm, size, cap, cycles);
-    if (i == 0) baseline = record.measurement;
-    record.ratios =
-        computeRatios(baseline, capsWatts.front(), record.measurement, cap);
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
-std::vector<ConfigRecord> Study::capSweepWith(
-    util::ExecutionContext& ctx, Algorithm algorithm, vis::Id size,
-    const std::vector<double>& capsWatts, int cycles,
-    const AlgorithmParams& params) {
-  PVIZ_REQUIRE(!capsWatts.empty(), "cap sweep needs at least one cap");
-  PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
-  // Characterize once; the per-cap loop only touches the package model
-  // (characterizeWith has no in-memory memo, so characterizing per
-  // cap would re-run the kernel for every cap).
-  const vis::KernelProfile once =
-      characterizeWith(ctx, algorithm, size, params);
-  std::vector<ConfigRecord> records;
-  records.reserve(capsWatts.size());
-  Measurement baseline;
-  for (std::size_t i = 0; i < capsWatts.size(); ++i) {
-    const double cap = capsWatts[i];
-    ConfigRecord record;
-    record.algorithm = algorithm;
-    record.size = size;
-    record.capWatts = cap;
-    record.measurement = modelProfile(ctx, algorithm, once, cap, cycles);
-    if (i == 0) baseline = record.measurement;
-    record.ratios =
-        computeRatios(baseline, capsWatts.front(), record.measurement, cap);
+    {
+      auto scope = ctx.phase("simulate/" + algorithmName(algorithm));
+      record.measurement = simulator_.run(scaled, cap, &ctx.cancel());
+    }
+    record.ratios = computeRatios(records.empty() ? record.measurement
+                                                  : records.front().measurement,
+                                  capsWatts.front(), record.measurement, cap);
     records.push_back(std::move(record));
   }
   return records;

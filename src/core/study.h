@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -58,59 +57,61 @@ struct ConfigRecord {
   Ratios ratios;  ///< against the default (first) cap of the same pair
 };
 
+/// Version of the characterization profile format and of the kernels
+/// behind it.  Part of every work key: bump it when a kernel's profile
+/// changes, and profiles cached by older code stop matching.
+inline constexpr int kProfileSchemaVersion = 1;
+
+/// The one key of a characterization: the schema version, the algorithm,
+/// the size and every AlgorithmParams field except the advection
+/// schedule (schedules are bit-identical by contract, so every schedule
+/// maps to the same profile).  Whitespace-free, as the profile cache
+/// format is token-separated.  It keys the Study memo, the on-disk
+/// profile cache and the kernel part of the service result-cache key.
+std::string workKey(Algorithm algorithm, vis::Id size,
+                    const AlgorithmParams& params);
+
 /// The study driver.  Safe to share across threads: the memoization maps
 /// are lock-protected and a characterization in flight is joined by
-/// concurrent requests for the same (algorithm, size) rather than rerun
-/// (the service layer issues these from several request workers at once).
+/// concurrent requests for the same work key rather than rerun (the
+/// service layer issues these from several request workers at once).
 class Study {
  public:
   explicit Study(StudyConfig config = {});
 
-  /// Characterize (run for real) `algorithm` on the `size`^3 dataset;
-  /// memoized.  The returned profile covers a single visualization cycle.
-  /// If the context's token cancels mid-kernel the characterization
-  /// throws util::CancelledError and leaves the memo and disk caches
-  /// untouched (a later uncancelled call re-runs from scratch).
+  /// Characterize (run for real) `algorithm` on the `size`^3 dataset
+  /// under `params`; memoized in-process and on disk under workKey.
+  /// The returned profile covers a single visualization cycle.  If the
+  /// context's token cancels mid-kernel the characterization throws
+  /// util::CancelledError and leaves the memo and disk caches untouched
+  /// (a later uncancelled call re-runs from scratch).
   const vis::KernelProfile& characterize(util::ExecutionContext& ctx,
-                                         Algorithm algorithm, vis::Id size);
+                                         Algorithm algorithm, vis::Id size,
+                                         const AlgorithmParams& params);
+  /// Same, under the configured params.
+  const vis::KernelProfile& characterize(util::ExecutionContext& ctx,
+                                         Algorithm algorithm, vis::Id size) {
+    return characterize(ctx, algorithm, size, config_.params);
+  }
 
-  /// Characterize with request-supplied parameter overrides (the service
-  /// layer's per-request advection knobs).  Shares the memoized dataset
-  /// and the on-disk profile cache (whose key covers the overridden
-  /// parameters), but NOT the in-memory memo — that map is keyed on
-  /// (algorithm, size) under the configured params only.  Returns by
-  /// value.
-  vis::KernelProfile characterizeWith(util::ExecutionContext& ctx,
-                                      Algorithm algorithm, vis::Id size,
-                                      const AlgorithmParams& params);
-
-  /// Evaluate one configuration (characterize + model under the cap,
-  /// repeated for the configured cycle count).
+  /// One configuration under the configured params and cycle count.
   Measurement measure(util::ExecutionContext& ctx, Algorithm algorithm,
                       vis::Id size, double capWatts);
-  /// Same, overriding the configured cycle count (the service layer
-  /// evaluates per-request cycle counts against one shared Study).
-  Measurement measure(util::ExecutionContext& ctx, Algorithm algorithm,
-                      vis::Id size, double capWatts, int cycles);
 
   /// All caps for one (algorithm, size); ratios are against caps[0].
-  std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
-                                     Algorithm algorithm, vis::Id size);
-  /// Same, overriding the configured cap list and cycle count.
+  /// The kernel characterizes once under `params`, then every cap is
+  /// evaluated on the package model, repeated for `cycles`.
   std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
                                      Algorithm algorithm, vis::Id size,
                                      const std::vector<double>& capsWatts,
-                                     int cycles);
-  /// Cap sweep with request-supplied parameter overrides.  The kernel
-  /// characterizes ONCE under `params` (characterizeWith), then every
-  /// cap is evaluated on the package model — a request with nine caps
-  /// costs one kernel run, exactly like the memoized configured-params
-  /// path.
-  std::vector<ConfigRecord> capSweepWith(util::ExecutionContext& ctx,
-                                         Algorithm algorithm, vis::Id size,
-                                         const std::vector<double>& capsWatts,
-                                         int cycles,
-                                         const AlgorithmParams& params);
+                                     int cycles,
+                                     const AlgorithmParams& params);
+  /// Same, under the configured caps, cycle count and params.
+  std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
+                                     Algorithm algorithm, vis::Id size) {
+    return capSweep(ctx, algorithm, size, config_.capsWatts, config_.cycles,
+                    config_.params);
+  }
 
   /// The dataset used for characterization at `size` (memoized).
   const vis::UniformGrid& dataset(vis::Id size);
@@ -118,23 +119,14 @@ class Study {
   const StudyConfig& config() const { return config_; }
 
  private:
-  using ProfileKey = std::pair<int, vis::Id>;
-
-  /// Model one characterized cycle profile under a cap: work-scale,
-  /// repeat for `cycles`, simulate.  The shared tail of measure and
-  /// capSweepWith.
-  Measurement modelProfile(util::ExecutionContext& ctx, Algorithm algorithm,
-                           const vis::KernelProfile& once, double capWatts,
-                           int cycles);
-
   StudyConfig config_;
   ExecutionSimulator simulator_;
   std::mutex datasetMutex_;  ///< guards datasets_ (incl. generation)
   std::map<vis::Id, std::unique_ptr<vis::UniformGrid>> datasets_;
   std::mutex profileMutex_;  ///< guards profiles_ and inFlight_
   std::condition_variable profileReady_;
-  std::map<ProfileKey, vis::KernelProfile> profiles_;
-  std::set<ProfileKey> inFlight_;  ///< keys being characterized right now
+  std::map<std::string, vis::KernelProfile> profiles_;  ///< by workKey
+  std::set<std::string> inFlight_;  ///< keys being characterized right now
   std::mutex diskCacheMutex_;  ///< serializes the cache read-modify-write
 };
 

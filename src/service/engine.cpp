@@ -60,7 +60,7 @@ ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
   } else {
     ctx.setBackend(exec::defaultBackend());
   }
-  const std::string key = canonicalCacheKey(request);
+  const std::string key = canonicalCacheKey(request, config_.study.params);
 
   if (!key.empty()) {
     if (auto hit = cache_.get(key)) {
@@ -74,33 +74,10 @@ ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
   return Outcome{std::move(result), false};
 }
 
-vis::KernelProfile ServiceEngine::profileFor(util::ExecutionContext& ctx,
-                                             const Request& request) {
-  const bool advectOverrides = request.advectSeeds > 0 ||
-                               request.advectSteps > 0 ||
-                               !request.advectMode.empty() ||
-                               !request.advectSchedule.empty();
-  // Decomposition overrides are valid on ANY algorithm (every kernel
-  // runs multi-block, or on the stitched grid when its traversal is
-  // global), unlike advect_* which only makes sense for advection.
-  const bool blockOverrides = request.blocks > 0 || request.ghost > 0;
-  if (!advectOverrides && !blockOverrides) {
-    return study_.characterize(ctx, request.algorithm, request.size);
-  }
-  if (advectOverrides) {
-    PVIZ_REQUIRE(request.algorithm == core::Algorithm::ParticleAdvection,
-                 "advect_* overrides are only valid with algorithm=advection");
-  }
-  core::AlgorithmParams params = config_.study.params;
-  if (request.advectSeeds > 0) params.seedCount = request.advectSeeds;
-  if (request.advectSteps > 0) params.maxSteps = request.advectSteps;
-  if (!request.advectMode.empty()) params.advectionMode = request.advectMode;
-  if (!request.advectSchedule.empty()) {
-    params.advectionSchedule = request.advectSchedule;
-  }
-  if (request.blocks > 0) params.blockCount = request.blocks;
-  if (request.ghost > 0) params.ghostLayers = request.ghost;
-  return study_.characterizeWith(ctx, request.algorithm, request.size, params);
+const vis::KernelProfile& ServiceEngine::profileFor(
+    util::ExecutionContext& ctx, const Request& request) {
+  return study_.characterize(ctx, request.algorithm, request.size,
+                             paramsFor(request, config_.study.params));
 }
 
 Json ServiceEngine::execute(util::ExecutionContext& ctx,
@@ -171,18 +148,12 @@ Json ServiceEngine::runStudySlice(util::ExecutionContext& ctx,
                                   const Request& request) {
   Json records = Json::array();
   std::size_t count = 0;
-  const bool blockOverrides = request.blocks > 0 || request.ghost > 0;
-  core::AlgorithmParams params = config_.study.params;
-  if (request.blocks > 0) params.blockCount = request.blocks;
-  if (request.ghost > 0) params.ghostLayers = request.ghost;
+  const core::AlgorithmParams params = paramsFor(request, config_.study.params);
   for (vis::Id size : request.sizes) {
     for (core::Algorithm algorithm : request.algorithms) {
       for (core::ConfigRecord& record :
-           blockOverrides
-               ? study_.capSweepWith(ctx, algorithm, size, request.capsWatts,
-                                     request.cycles, params)
-               : study_.capSweep(ctx, algorithm, size, request.capsWatts,
-                                 request.cycles)) {
+           study_.capSweep(ctx, algorithm, size, request.capsWatts,
+                           request.cycles, params)) {
         // Only this uncached path reaches the attributor: a cache hit
         // re-serves these joules without running anything.
         if (energy_ != nullptr && ctx.traceId() != 0) {

@@ -86,11 +86,10 @@ class ServiceEngine {
   Json execute(util::ExecutionContext& ctx, const Request& request);
   Json runStudySlice(util::ExecutionContext& ctx, const Request& request);
   const vis::KernelProfile& simProfile(vis::Id size, int steps);
-  /// Single-kernel profile: the memoized study characterization, or —
-  /// when the request carries advect_* overrides — a characterization
-  /// under request-derived parameters (memoized only on disk).
-  vis::KernelProfile profileFor(util::ExecutionContext& ctx,
-                                const Request& request);
+  /// Single-kernel profile: the study characterization under the
+  /// request's parameters (paramsFor), memoized on its work key.
+  const vis::KernelProfile& profileFor(util::ExecutionContext& ctx,
+                                       const Request& request);
 
   EngineConfig config_;
   core::Study study_;

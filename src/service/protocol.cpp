@@ -1,5 +1,7 @@
 #include "service/protocol.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/backend.h"
@@ -28,6 +30,30 @@ const Json& requiredField(const Json& json, const char* key) {
   PVIZ_REQUIRE(v != nullptr,
                std::string("request is missing required field '") + key + "'");
   return *v;
+}
+
+// Integers from the wire arrive as JSON doubles: each is checked to be
+// integral and within [lo, hi] before the cast, since casting an
+// out-of-range double is undefined behavior.
+constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+// (size+1)^3 points must fit vis::Id.
+constexpr std::int64_t kMaxSize = std::int64_t{1} << 20;
+
+std::int64_t wireInt(const Json& value, const char* key, std::int64_t lo,
+                     std::int64_t hi) {
+  const double v = value.asNumber();
+  PVIZ_REQUIRE(v == std::floor(v) && v >= static_cast<double>(lo) &&
+                   v <= static_cast<double>(hi),
+               std::string(key) + " must be an integer in [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<std::int64_t>(v);
+}
+
+std::int64_t intField(const Json& json, const char* key, std::int64_t lo,
+                      std::int64_t hi) {
+  const Json* v = json.find(key);
+  return v != nullptr ? wireInt(*v, key, lo, hi) : 0;
 }
 
 }  // namespace
@@ -150,12 +176,10 @@ Request requestFromJson(const Json& json) {
   if (const Json* trace = json.find("trace")) {
     request.trace = trace->asBool();
   }
-  const double traceId = numberField(json, "trace_id", 0.0);
-  PVIZ_REQUIRE(traceId >= 0.0, "trace_id must be non-negative");
-  request.traceId = static_cast<std::uint64_t>(traceId);
-  const double parentSpan = numberField(json, "parent_span", 0.0);
-  PVIZ_REQUIRE(parentSpan >= 0.0, "parent_span must be non-negative");
-  request.parentSpan = static_cast<std::uint64_t>(parentSpan);
+  request.traceId = static_cast<std::uint64_t>(
+      intField(json, "trace_id", 0, kMaxExactInt));
+  request.parentSpan = static_cast<std::uint64_t>(
+      intField(json, "parent_span", 0, kMaxExactInt));
   request.backend = stringField(json, "backend", "");
   if (!request.backend.empty()) {
     exec::parseBackendToken(request.backend);  // reject unknown tokens early
@@ -168,8 +192,7 @@ Request requestFromJson(const Json& json) {
     return request;
   }
   if (request.op == Op::Events) {
-    request.eventsLimit = static_cast<int>(numberField(json, "limit", 0.0));
-    PVIZ_REQUIRE(request.eventsLimit >= 0, "limit must be non-negative");
+    request.eventsLimit = static_cast<int>(intField(json, "limit", 0, kMaxInt));
     return request;
   }
   if (request.op == Op::Ping) {
@@ -184,7 +207,7 @@ Request requestFromJson(const Json& json) {
     return request;
   }
   if (request.op == Op::Heartbeat) {
-    request.seq = static_cast<std::int64_t>(numberField(json, "seq", 0.0));
+    request.seq = intField(json, "seq", 0, kMaxExactInt);
     return request;
   }
   if (request.op == Op::Claim) {
@@ -202,12 +225,8 @@ Request requestFromJson(const Json& json) {
   }
 
   // Multi-block decomposition (kernel-running ops only; 0 = default).
-  request.blocks = static_cast<vis::Id>(numberField(json, "blocks", 0.0));
-  PVIZ_REQUIRE(request.blocks >= 0 && request.blocks <= 4096,
-               "blocks must be in [0, 4096]");
-  request.ghost = static_cast<vis::Id>(numberField(json, "ghost", 0.0));
-  PVIZ_REQUIRE(request.ghost >= 0 && request.ghost <= 8,
-               "ghost must be in [0, 8]");
+  request.blocks = intField(json, "blocks", 0, 4096);
+  request.ghost = intField(json, "ghost", 0, 8);
 
   if (request.op == Op::Study) {
     if (const Json* algorithms = json.find("algorithms")) {
@@ -217,33 +236,26 @@ Request requestFromJson(const Json& json) {
     }
     if (const Json* sizes = json.find("sizes")) {
       for (const Json& s : sizes->asArray()) {
-        const vis::Id size = s.asInt();
-        PVIZ_REQUIRE(size > 0, "sizes must be positive");
-        request.sizes.push_back(size);
+        request.sizes.push_back(wireInt(s, "sizes", 1, kMaxSize));
       }
     }
-    request.cycles = static_cast<int>(numberField(json, "cycles", 0.0));
-    PVIZ_REQUIRE(request.cycles >= 0, "cycles must be non-negative");
+    request.cycles = static_cast<int>(intField(json, "cycles", 0, kMaxInt));
     return request;
   }
 
   // Single-kernel operations.
   request.algorithm =
       core::parseAlgorithmToken(requiredField(json, "algorithm").asString());
-  request.size = requiredField(json, "size").asInt();
-  PVIZ_REQUIRE(request.size > 0, "size must be positive");
+  request.size = wireInt(requiredField(json, "size"), "size", 1, kMaxSize);
   if (request.op == Op::Budget) {
     request.budgetWatts = requiredField(json, "budget_watts").asNumber();
     PVIZ_REQUIRE(request.budgetWatts > 0.0, "budget_watts must be positive");
-    request.simSteps = static_cast<int>(numberField(json, "sim_steps", 0.0));
-    PVIZ_REQUIRE(request.simSteps >= 0, "sim_steps must be non-negative");
+    request.simSteps =
+        static_cast<int>(intField(json, "sim_steps", 0, kMaxInt));
   }
-  request.advectSeeds =
-      static_cast<vis::Id>(numberField(json, "advect_seeds", 0.0));
-  PVIZ_REQUIRE(request.advectSeeds >= 0, "advect_seeds must be non-negative");
-  request.advectSteps =
-      static_cast<vis::Id>(numberField(json, "advect_steps", 0.0));
-  PVIZ_REQUIRE(request.advectSteps >= 0, "advect_steps must be non-negative");
+  // The bounds the CLI clients enforce on --advect-seeds/--advect-steps.
+  request.advectSeeds = intField(json, "advect_seeds", 0, 50000000);
+  request.advectSteps = intField(json, "advect_steps", 0, 10000000);
   request.advectMode = stringField(json, "advect_mode", "");
   if (!request.advectMode.empty()) {
     vis::ParticleAdvectionFilter::parseMode(request.advectMode);
@@ -252,6 +264,11 @@ Request requestFromJson(const Json& json) {
   if (!request.advectSchedule.empty()) {
     vis::ParticleAdvectionFilter::parseSchedule(request.advectSchedule);
   }
+  PVIZ_REQUIRE(request.algorithm == core::Algorithm::ParticleAdvection ||
+                   (request.advectSeeds == 0 && request.advectSteps == 0 &&
+                    request.advectMode.empty() &&
+                    request.advectSchedule.empty()),
+               "advect_* overrides are only valid with algorithm=advection");
   return request;
 }
 
@@ -460,78 +477,50 @@ telemetry::TraceSpan traceSpanFromJson(const Json& json) {
   return span;
 }
 
-std::string canonicalCacheKey(const Request& request) {
+core::AlgorithmParams paramsFor(const Request& request,
+                                core::AlgorithmParams base) {
+  if (request.advectSeeds > 0) base.seedCount = request.advectSeeds;
+  if (request.advectSteps > 0) base.maxSteps = request.advectSteps;
+  if (!request.advectMode.empty()) base.advectionMode = request.advectMode;
+  if (!request.advectSchedule.empty()) {
+    base.advectionSchedule = request.advectSchedule;
+  }
+  if (request.blocks > 0) base.blockCount = request.blocks;
+  if (request.ghost > 0) base.ghostLayers = request.ghost;
+  return base;
+}
+
+std::string canonicalCacheKey(const Request& request,
+                              const core::AlgorithmParams& base) {
   if (request.op == Op::Ping || request.op == Op::Stats ||
       request.op == Op::Metrics || request.op == Op::Register ||
       request.op == Op::Heartbeat || request.op == Op::Claim ||
       request.op == Op::TraceDump || request.op == Op::Events) {
     return "";
   }
+  // The kernel part is the Study's own work key, so the result cache
+  // forks exactly where the profile does: every parameter override but
+  // the advection schedule, never the backend or trace context.
+  const core::AlgorithmParams params = paramsFor(request, base);
   std::ostringstream key;
   key.precision(17);
   key << opToken(request.op);
-  auto appendCaps = [&] {
+  if (request.op == Op::Study) {
+    for (vis::Id size : request.sizes) {
+      for (core::Algorithm a : request.algorithms) {
+        key << "|work=" << core::workKey(a, size, params);
+      }
+    }
+    key << "|cycles=" << request.cycles;
+  } else {
+    key << "|work=" << core::workKey(request.algorithm, request.size, params);
+  }
+  if (request.op == Op::Study || request.op == Op::Classify) {
     key << "|caps=";
     for (double c : request.capsWatts) key << c << ',';
-  };
-  // Advection overrides fork the result (seed count, step count and
-  // mode all change the profile), so they fork the key.  The schedule
-  // is absent for the same reason `backend` is: bit-identical results
-  // must share one entry.
-  auto appendAdvect = [&] {
-    if (request.advectSeeds > 0) key << "|aseeds=" << request.advectSeeds;
-    if (request.advectSteps > 0) key << "|asteps=" << request.advectSteps;
-    if (!request.advectMode.empty()) key << "|amode=" << request.advectMode;
-  };
-  // Decomposition overrides fork the profile (ghost-exchange /
-  // block-stitch phases), so they fork the key even though filter
-  // outputs are block-count-invariant.
-  auto appendBlocks = [&] {
-    if (request.blocks > 0) key << "|blocks=" << request.blocks;
-    if (request.ghost > 0) key << "|ghost=" << request.ghost;
-  };
-  switch (request.op) {
-    case Op::Characterize:
-      key << "|alg=" << core::algorithmToken(request.algorithm)
-          << "|size=" << request.size;
-      appendAdvect();
-      appendBlocks();
-      break;
-    case Op::Classify:
-      key << "|alg=" << core::algorithmToken(request.algorithm)
-          << "|size=" << request.size;
-      appendCaps();
-      appendAdvect();
-      appendBlocks();
-      break;
-    case Op::Budget:
-      key << "|alg=" << core::algorithmToken(request.algorithm)
-          << "|size=" << request.size << "|budget=" << request.budgetWatts
-          << "|steps=" << request.simSteps;
-      appendAdvect();
-      appendBlocks();
-      break;
-    case Op::Study: {
-      key << "|algs=";
-      for (core::Algorithm a : request.algorithms) {
-        key << core::algorithmToken(a) << ',';
-      }
-      key << "|sizes=";
-      for (vis::Id s : request.sizes) key << s << ',';
-      appendCaps();
-      key << "|cycles=" << request.cycles;
-      appendBlocks();
-      break;
-    }
-    case Op::Ping:
-    case Op::Stats:
-    case Op::Metrics:
-    case Op::Register:
-    case Op::Heartbeat:
-    case Op::Claim:
-    case Op::TraceDump:
-    case Op::Events:
-      break;
+  }
+  if (request.op == Op::Budget) {
+    key << "|budget=" << request.budgetWatts << "|steps=" << request.simSteps;
   }
   return key.str();
 }

@@ -143,10 +143,11 @@ struct Request {
   std::string backend;
 
   // Particle advection overrides, valid on the single-kernel ops
-  // (characterize / classify / budget) when algorithm == advection.
-  // Zero / empty = server-configured defaults.  Seeds, steps and mode
-  // change the profile and are part of the cache key; the schedule is
-  // excluded like `backend` — schedules are bit-identical by contract.
+  // (characterize / classify / budget) when algorithm == advection
+  // (requestFromJson rejects them on any other algorithm).  Zero /
+  // empty = server-configured defaults.  Seeds, steps and mode change
+  // the profile and are part of the cache key; the schedule is excluded
+  // like `backend` — schedules are bit-identical by contract.
   vis::Id advectSeeds = 0;      ///< seed count (flow workload scale)
   vis::Id advectSteps = 0;      ///< max RK4 steps (integration length)
   std::string advectMode;       ///< "streamline" | "pathline"
@@ -163,7 +164,9 @@ struct Request {
 
 Json toJson(const Request& request);
 /// Parse a request object; throws pviz::Error on a malformed request
-/// (missing/unknown op, bad algorithm name, non-positive size, ...).
+/// (missing/unknown op, bad algorithm name, an integer field that is
+/// fractional or out of range, advect_* on a non-advection algorithm,
+/// ...).
 Request requestFromJson(const Json& json);
 
 struct Response {
@@ -203,9 +206,21 @@ core::BudgetPlan budgetPlanFromJson(const Json& json);
 Json traceSpanToJson(const telemetry::TraceSpan& span);
 telemetry::TraceSpan traceSpanFromJson(const Json& json);
 
+/// The kernel parameters a request runs under: `base` (the server's
+/// configured params) with the request's advect_* and blocks/ghost
+/// overrides applied (zero / empty = keep `base`).  The only place that
+/// maps request fields to AlgorithmParams; never throws (bad override
+/// values are rejected by requestFromJson).
+core::AlgorithmParams paramsFor(const Request& request,
+                                core::AlgorithmParams base);
+
 /// Deterministic cache key for a *normalized* request (defaults already
-/// applied by the engine).  Empty for operations that are never cached
-/// (ping, stats, metrics, trace_dump, events, fleet ops).
-std::string canonicalCacheKey(const Request& request);
+/// applied by the engine) served under the configured params `base`.
+/// Its kernel part is core::workKey of every (algorithm, size) the
+/// request runs, under paramsFor(request, base) — the key the Study
+/// memoizes the profiles on.  Empty for operations that are never
+/// cached (ping, stats, metrics, trace_dump, events, fleet ops).
+std::string canonicalCacheKey(const Request& request,
+                              const core::AlgorithmParams& base = {});
 
 }  // namespace pviz::service

@@ -297,12 +297,18 @@ TEST(Protocol, CacheKeyCoversBlockOverrides) {
   a.op = Op::Characterize;
   a.algorithm = core::Algorithm::Contour;
   a.size = 64;
+  // The key is of the work run, so an override equal to the server's
+  // configured decomposition is no fork: key against an explicit
+  // single-block base, whatever POWERVIZ_BLOCKS says.
+  core::AlgorithmParams base;
+  base.blockCount = 1;
+  base.ghostLayers = 1;
   Request b = a;
   b.blocks = 4;
-  EXPECT_NE(canonicalCacheKey(a), canonicalCacheKey(b));
+  EXPECT_NE(canonicalCacheKey(a, base), canonicalCacheKey(b, base));
   b = a;
   b.ghost = 2;
-  EXPECT_NE(canonicalCacheKey(a), canonicalCacheKey(b));
+  EXPECT_NE(canonicalCacheKey(a, base), canonicalCacheKey(b, base));
 
   Request sa;
   sa.op = Op::Study;
@@ -312,7 +318,104 @@ TEST(Protocol, CacheKeyCoversBlockOverrides) {
   sa.cycles = 1;
   Request sb = sa;
   sb.blocks = 2;
-  EXPECT_NE(canonicalCacheKey(sa), canonicalCacheKey(sb));
+  EXPECT_NE(canonicalCacheKey(sa, base), canonicalCacheKey(sb, base));
+}
+
+TEST(Protocol, CacheKeyIsTheWorkKeyOfTheRequestParams) {
+  // One key: the kernel part is core::workKey under paramsFor, so the
+  // result cache forks exactly where the Study memo does — including
+  // on the server's configured params.
+  core::AlgorithmParams base = core::AlgorithmParams::lightRendering();
+  Request r;
+  r.op = Op::Characterize;
+  r.algorithm = core::Algorithm::ParticleAdvection;
+  r.size = 32;
+  r.advectSeeds = 300;
+  r.blocks = 2;
+  const core::AlgorithmParams params = paramsFor(r, base);
+  EXPECT_EQ(params.seedCount, 300);
+  EXPECT_EQ(params.blockCount, 2);
+  EXPECT_EQ(params.maxSteps, base.maxSteps);
+  EXPECT_EQ(params.cameraCount, base.cameraCount);
+  EXPECT_NE(canonicalCacheKey(r, base).find(
+                core::workKey(r.algorithm, r.size, params)),
+            std::string::npos);
+  core::AlgorithmParams narrow = base;
+  narrow.thresholdLoFraction = 0.1;
+  EXPECT_NE(canonicalCacheKey(r, base), canonicalCacheKey(r, narrow));
+  // An override that restates the configured value is the same work.
+  Request restated = r;
+  restated.advectSteps = base.maxSteps;
+  EXPECT_EQ(canonicalCacheKey(r, base), canonicalCacheKey(restated, base));
+}
+
+TEST(Protocol, WireIntegersAreRangeChecked) {
+  // Integers arrive as JSON doubles; out-of-range or fractional values
+  // must be rejected by name before any cast.
+  const std::string advect =
+      R"({"op":"characterize","algorithm":"advection","size":16,)";
+  for (const std::string& bad : {
+           advect + R"("advect_seeds":1e12})",
+           advect + R"("advect_steps":1e15})",
+           advect + R"("advect_seeds":50000001})",
+           advect + R"("advect_steps":-1})",
+           std::string(R"({"op":"characterize","algorithm":"contour",)"
+                       R"("size":3e9})"),
+           std::string(R"({"op":"characterize","algorithm":"contour",)"
+                       R"("size":16.5})"),
+           std::string(R"({"op":"characterize","algorithm":"contour",)"
+                       R"("size":1048577})"),
+           std::string(R"({"op":"study","sizes":[16,3e9]})"),
+           std::string(R"({"op":"study","cycles":1e20})"),
+           std::string(R"({"op":"ping","trace_id":1e30})"),
+           std::string(R"({"op":"ping","parent_span":-2})"),
+           std::string(R"({"op":"events","limit":1e20})"),
+           std::string(R"({"op":"heartbeat","seq":1e30})"),
+           std::string(R"({"op":"budget","algorithm":"contour","size":16,)"
+                       R"("budget_watts":80,"sim_steps":1e12})"),
+           std::string(R"({"op":"characterize","algorithm":"contour",)"
+                       R"("size":16,"blocks":2.5})"),
+       }) {
+    EXPECT_THROW(requestFromJson(Json::parse(bad)), Error) << bad;
+  }
+  // The bounds themselves are accepted.
+  const Request edge = requestFromJson(Json::parse(
+      advect + R"("advect_seeds":50000000,"advect_steps":10000000})"));
+  EXPECT_EQ(edge.advectSeeds, 50000000);
+  EXPECT_EQ(edge.advectSteps, 10000000);
+  EXPECT_EQ(requestFromJson(Json::parse(R"({"op":"characterize",)"
+                                        R"("algorithm":"contour",)"
+                                        R"("size":1048576})"))
+                .size,
+            1048576);
+  EXPECT_EQ(requestFromJson(Json::parse(R"({"op":"ping",)"
+                                        R"("trace_id":9007199254740992})"))
+                .traceId,
+            9007199254740992u);
+  // The message names the field.
+  try {
+    requestFromJson(Json::parse(advect + R"("advect_seeds":1e12})"));
+    FAIL() << "advect_seeds:1e12 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("advect_seeds"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Protocol, AdvectOverridesNeedTheAdvectionAlgorithm) {
+  for (const char* field : {R"("advect_seeds":100)", R"("advect_steps":100)",
+                            R"("advect_mode":"pathline")",
+                            R"("advect_schedule":"static")"}) {
+    const std::string body = std::string(",") + field + "}";
+    EXPECT_THROW(requestFromJson(Json::parse(
+                     R"({"op":"classify","algorithm":"contour","size":16)" +
+                     body)),
+                 Error)
+        << field;
+    EXPECT_NO_THROW(requestFromJson(Json::parse(
+        R"({"op":"classify","algorithm":"advection","size":16)" + body)))
+        << field;
+  }
 }
 
 TEST(Protocol, MalformedRequestsThrow) {

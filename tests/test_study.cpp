@@ -3,6 +3,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "core/study.h"
 #include "util/exec_context.h"
@@ -51,6 +54,30 @@ TEST(Study, CharacterizationIsMemoized) {
       study.characterize(ctx, Algorithm::Threshold, 8);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.kernel, "threshold");
+}
+
+TEST(Study, OverrideCharacterizationsShareTheMemo) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
+  Study study(smallConfig());
+  // The configured-params form and an explicit copy of the same params
+  // are one work key, so one memo entry.
+  const vis::KernelProfile& configured =
+      study.characterize(ctx, Algorithm::ParticleAdvection, 8);
+  EXPECT_EQ(&study.characterize(ctx, Algorithm::ParticleAdvection, 8,
+                                study.config().params),
+            &configured);
+  AlgorithmParams more = study.config().params;
+  more.seedCount = 80;
+  const vis::KernelProfile& a =
+      study.characterize(ctx, Algorithm::ParticleAdvection, 8, more);
+  EXPECT_NE(&a, &configured);
+  EXPECT_EQ(&study.characterize(ctx, Algorithm::ParticleAdvection, 8, more),
+            &a);
+  // A schedule-only override is the same work.
+  more.advectionSchedule = "static";
+  EXPECT_EQ(&study.characterize(ctx, Algorithm::ParticleAdvection, 8, more),
+            &a);
 }
 
 TEST(Study, CapSweepRatiosAreBaselinedAtTheDefaultCap) {
@@ -178,13 +205,130 @@ TEST(ProfileCache, StudyUsesTheCacheAcrossInstances) {
     Study study(config);
     study.characterize(ctx, Algorithm::Threshold, 8);
   }
-  // A fresh study loads the characterization from disk (same key).
+  // Doctor the entry on disk: a fresh study can only return the marker
+  // phase by reading the file under the same work key.
+  const std::string key = workKey(Algorithm::Threshold, 8, config.params);
+  auto disk = loadProfileCache(path);
+  ASSERT_EQ(disk.count(key), 1u);
+  disk.at(key).addPhase("doctored").flops = 42.0;
+  saveProfileCache(path, disk);
+
   Study study2(config);
   const vis::KernelProfile& p =
       study2.characterize(ctx, Algorithm::Threshold, 8);
   EXPECT_EQ(p.kernel, "threshold");
   EXPECT_EQ(p.elements, 8 * 8 * 8);
+  ASSERT_FALSE(p.phases.empty());
+  EXPECT_EQ(p.phases.back().name, "doctored");
+  EXPECT_DOUBLE_EQ(p.phases.back().flops, 42.0);
   std::remove(path.c_str());
+}
+
+TEST(ProfileCache, KeyForksOnEveryProfileField) {
+  const AlgorithmParams base;
+  const std::string key = workKey(Algorithm::Contour, 64, base);
+  EXPECT_NE(workKey(Algorithm::Threshold, 64, base), key);
+  EXPECT_NE(workKey(Algorithm::Contour, 65, base), key);
+  EXPECT_EQ(key.find_first_of(" \t\n"), std::string::npos)
+      << "the cache format is token-separated";
+
+  std::vector<std::pair<const char*, void (*)(AlgorithmParams&)>> mutations = {
+      {"isovalueCount", [](AlgorithmParams& p) { ++p.isovalueCount; }},
+      {"thresholdLoFraction",
+       [](AlgorithmParams& p) { p.thresholdLoFraction += 0.01; }},
+      {"thresholdHiFraction",
+       [](AlgorithmParams& p) { p.thresholdHiFraction += 0.01; }},
+      {"clipRadiusFraction",
+       [](AlgorithmParams& p) { p.clipRadiusFraction += 0.01; }},
+      {"isovolumeLoFraction",
+       [](AlgorithmParams& p) { p.isovolumeLoFraction += 0.01; }},
+      {"isovolumeHiFraction",
+       [](AlgorithmParams& p) { p.isovolumeHiFraction += 0.01; }},
+      {"seedCount", [](AlgorithmParams& p) { ++p.seedCount; }},
+      {"maxSteps", [](AlgorithmParams& p) { ++p.maxSteps; }},
+      {"stepLength", [](AlgorithmParams& p) { p.stepLength *= 2.0; }},
+      {"advectionMode",
+       [](AlgorithmParams& p) { p.advectionMode = "pathline"; }},
+      {"cameraCount", [](AlgorithmParams& p) { ++p.cameraCount; }},
+      {"imageWidth", [](AlgorithmParams& p) { ++p.imageWidth; }},
+      {"imageHeight", [](AlgorithmParams& p) { ++p.imageHeight; }},
+      {"sampledCameraCount", [](AlgorithmParams& p) { ++p.sampledCameraCount; }},
+      {"blockCount", [](AlgorithmParams& p) { ++p.blockCount; }},
+      {"ghostLayers", [](AlgorithmParams& p) { ++p.ghostLayers; }},
+  };
+  std::set<std::string> keys = {key};
+  for (const auto& [field, mutate] : mutations) {
+    AlgorithmParams changed = base;
+    mutate(changed);
+    const std::string forked = workKey(Algorithm::Contour, 64, changed);
+    EXPECT_NE(forked, key) << field;
+    EXPECT_TRUE(keys.insert(forked).second) << field << " collides";
+  }
+  // The schedule is bit-identical by contract: every schedule maps to
+  // the same profile, so it must not fork the key.
+  AlgorithmParams schedule = base;
+  schedule.advectionSchedule = "static";
+  EXPECT_EQ(workKey(Algorithm::Contour, 64, schedule), key);
+}
+
+TEST(ProfileCache, ThresholdBandIsNotServedAStaleProfile) {
+  // Two studies share one disk cache but differ only in the threshold
+  // band.  The second must get its own characterization, not the first
+  // one's profile read back under a key that ignores the band.
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
+  const std::string path = "test_study_cache_band.txt";
+  std::remove(path.c_str());
+  StudyConfig wide = smallConfig();
+  wide.cachePath = path;
+  StudyConfig narrow = wide;
+  narrow.params.thresholdLoFraction = 0.1;
+  narrow.params.thresholdHiFraction = 0.2;
+  StudyConfig fresh = narrow;
+  fresh.cachePath.clear();
+
+  const double wideOps = Study(wide)
+                             .characterize(ctx, Algorithm::Threshold, 16)
+                             .totalInstructions();
+  const double narrowOps = Study(narrow)
+                               .characterize(ctx, Algorithm::Threshold, 16)
+                               .totalInstructions();
+  const double freshOps = Study(fresh)
+                              .characterize(ctx, Algorithm::Threshold, 16)
+                              .totalInstructions();
+  EXPECT_NE(wideOps, freshOps) << "the bands must do different work";
+  EXPECT_DOUBLE_EQ(narrowOps, freshOps);
+  EXPECT_EQ(loadProfileCache(path).size(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(ProfileCache, CorruptCacheIsQuarantined) {
+  util::ThreadPool pool;
+  util::ExecutionContext ctx(pool);
+  const std::string path = "test_study_cache_corrupt.txt";
+  const std::string aside = path + ".corrupt";
+  std::remove(aside.c_str());
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "this is not a profile cache\n";
+  }
+  StudyConfig config = smallConfig();
+  config.cachePath = path;
+  Study study(config);
+  const vis::KernelProfile& p =
+      study.characterize(ctx, Algorithm::Threshold, 8);
+  EXPECT_EQ(p.kernel, "threshold");
+  // A fresh cache holds the new profile; the bad file is kept aside.
+  const auto disk = loadProfileCache(path);
+  ASSERT_EQ(disk.size(), 1u);
+  EXPECT_EQ(disk.count(workKey(Algorithm::Threshold, 8, config.params)), 1u);
+  std::ifstream quarantined(aside);
+  ASSERT_TRUE(quarantined.good());
+  std::string firstLine;
+  std::getline(quarantined, firstLine);
+  EXPECT_EQ(firstLine, "this is not a profile cache");
+  std::remove(path.c_str());
+  std::remove(aside.c_str());
 }
 
 }  // namespace
