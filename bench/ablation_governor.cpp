@@ -8,9 +8,26 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "util/stats.h"
 #include "util/table.h"
 
 using namespace pviz;
+
+namespace {
+
+// Mean of the timeline's full 100 ms samples, as a RAPL poller reports
+// power; a run shorter than one interval falls back to energy / time.
+double meterWatts(const core::Measurement& m) {
+  util::RunningStats watts;
+  double previous = 0.0;
+  for (const telemetry::PowerSample& s : m.timeline) {
+    if (s.timeSeconds - previous >= 0.1 - 1e-9) watts.add(s.watts);
+    previous = s.timeSeconds;
+  }
+  return watts.count() > 0 ? watts.mean() : m.averageWatts;
+}
+
+}  // namespace
 
 int main() {
   benchutil::printBanner(
@@ -43,7 +60,7 @@ int main() {
                       util::formatFixed(m.seconds, 3),
                       util::formatFixed(m.effectiveGhz, 2),
                       util::formatFixed(m.averageWatts, 1),
-                      util::formatFixed(m.meteredWatts, 1)});
+                      util::formatFixed(meterWatts(m), 1)});
       }
     }
   }

@@ -6,13 +6,16 @@
 
 namespace pviz::core {
 
+namespace {
+/// The study's power sampling cadence: the paper reads RAPL every 100 ms.
+constexpr double kSampleIntervalSeconds = 0.1;
+}  // namespace
+
 ExecutionSimulator::ExecutionSimulator(arch::MachineDescription machine,
                                        SimulatorOptions options)
     : model_(std::move(machine)), options_(options) {
   PVIZ_REQUIRE(options_.governorQuantumSeconds > 0.0,
                "governor quantum must be positive");
-  PVIZ_REQUIRE(options_.meterIntervalSeconds > 0.0,
-               "meter interval must be positive");
 }
 
 Measurement ExecutionSimulator::run(const vis::KernelProfile& kernel,
@@ -27,15 +30,13 @@ Measurement ExecutionSimulator::run(const vis::KernelProfile& kernel,
   const double cap = rapl.powerCapWatts();  // as programmed (unit-rounded)
 
   power::DvfsGovernor governor(m);
-  power::PowerMeter meter(rapl, options_.meterIntervalSeconds);
-  meter.start(0.0);
   const auto freq0 = rapl.readFrequencyCounters();
 
   Measurement out;
   double simTime = 0.0;
   double weightedGhz = 0.0;
   double totalJoules = 0.0;
-  telemetry::PowerSampler sampler(options_.meterIntervalSeconds);
+  telemetry::PowerSampler sampler(kSampleIntervalSeconds);
 
   // Quanta between cancellation polls inside a phase: a long phase at a
   // 5 ms quantum polls every ~5 simulated seconds, cheap and responsive.
@@ -73,7 +74,6 @@ Measurement ExecutionSimulator::run(const vis::KernelProfile& kernel,
       rapl.tickFrequencyCounters(dt, fGhz, m.baseGhz);
       simTime += dt;
       totalJoules += cost.powerWatts * dt;
-      meter.advanceTo(simTime);
       sampler.advanceTo(simTime, totalJoules);
 
       pm.seconds += dt;
@@ -97,9 +97,6 @@ Measurement ExecutionSimulator::run(const vis::KernelProfile& kernel,
   const auto freq1 = rapl.readFrequencyCounters();
   out.effectiveGhz = power::RaplDomain::effectiveGhz(freq0, freq1, m.baseGhz);
   out.averageWatts = out.seconds > 0.0 ? out.energyJoules / out.seconds : 0.0;
-  out.meteredWatts = meter.stats().count() > 0 ? meter.stats().mean()
-                                               : out.averageWatts;
-  out.powerTrace = meter.samples();
   out.timeline = sampler.finish();
 
   double instructions = 0.0;

@@ -7,8 +7,8 @@
 // the DVFS governor adjusts frequency against the programmed cap, the
 // cost model converts the phase's work into progress, energy deposits
 // into the (wrapping) RAPL counter, APERF/MPERF advance, and the power
-// meter samples on its 100 ms cadence — the same observables the paper
-// collects on hardware.
+// sampler records the energy timeline on the paper's 100 ms cadence —
+// the same observables the paper collects on hardware.
 #pragma once
 
 #include <string>
@@ -17,7 +17,6 @@
 #include "arch/cost_model.h"
 #include "power/governor.h"
 #include "power/msr.h"
-#include "power/power_meter.h"
 #include "power/rapl.h"
 #include "telemetry/power_sampler.h"
 
@@ -43,14 +42,12 @@ struct Measurement {
   double seconds = 0.0;
   double energyJoules = 0.0;
   double averageWatts = 0.0;     ///< energy / time
-  double meteredWatts = 0.0;     ///< mean of the 100 ms meter samples
   double effectiveGhz = 0.0;     ///< APERF/MPERF × base clock
   double ipc = 0.0;              ///< INST_RET / CPU_CLK_UNHALT.REF_TSC
   double llcMissRate = 0.0;      ///< LONG_LAT_CACHE.MISS / .REF
   double elementsPerSecond = 0.0;  ///< Moreland–Oldfield rate
   std::vector<PhaseMeasurement> phases;
-  std::vector<power::PowerMeter::Sample> powerTrace;
-  /// Power/energy timeline on the meter cadence (telemetry::PowerSampler):
+  /// Power/energy timeline on the 100 ms cadence (telemetry::PowerSampler):
   /// per-sample watts, cumulative joules, and the active phase.  The last
   /// sample's joules equals energyJoules exactly.
   std::vector<telemetry::PowerSample> timeline;
@@ -58,7 +55,6 @@ struct Measurement {
 
 struct SimulatorOptions {
   double governorQuantumSeconds = 0.005;  ///< firmware control cadence
-  double meterIntervalSeconds = 0.1;      ///< study sampling cadence
   bool idealGovernor = false;  ///< solve the cap exactly each quantum
 };
 

@@ -49,7 +49,6 @@ class PowerAdvisor {
       arch::MachineDescription machine =
           arch::MachineDescription::broadwellE52695v4(),
       SimulatorOptions options = {.governorQuantumSeconds = 0.005,
-                                  .meterIntervalSeconds = 0.1,
                                   .idealGovernor = true});
 
   /// Classify a characterized kernel by sweeping `capsWatts`

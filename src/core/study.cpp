@@ -76,7 +76,9 @@ Study::Study(StudyConfig config)
       simulator_(config_.machine, config_.simulator) {
   PVIZ_REQUIRE(!config_.capsWatts.empty(), "study needs at least one cap");
   PVIZ_REQUIRE(!config_.sizes.empty(), "study needs at least one size");
-  PVIZ_REQUIRE(config_.cycles >= 1, "study needs at least one cycle");
+  PVIZ_REQUIRE(config_.cycles >= 1 && config_.cycles <= kMaxCycles,
+               "study cycles must be in [1, " +
+                   std::to_string(kMaxCycles) + "]");
 }
 
 const vis::UniformGrid& Study::dataset(vis::Id size) {
@@ -166,7 +168,9 @@ std::vector<ConfigRecord> Study::capSweep(util::ExecutionContext& ctx,
                                           int cycles,
                                           const AlgorithmParams& params) {
   PVIZ_REQUIRE(!capsWatts.empty(), "cap sweep needs at least one cap");
-  PVIZ_REQUIRE(cycles >= 1, "cap sweep needs at least one cycle");
+  PVIZ_REQUIRE(cycles >= 1 && cycles <= kMaxCycles,
+               "cap sweep cycles must be in [1, " +
+                   std::to_string(kMaxCycles) + "]");
   // Characterize once; the per-cap loop only touches the package model.
   vis::KernelProfile scaled = scaleKernelWork(
       characterize(ctx, algorithm, size, params), config_.workScale);

@@ -27,6 +27,11 @@ class ExecutionContext;
 
 namespace pviz::core {
 
+/// Most visualization cycles one configuration may run.  repeatKernel
+/// copies every phase once per cycle, so this bounds the memory and time
+/// of one run; it is 100x the default.
+inline constexpr int kMaxCycles = 1000;
+
 struct StudyConfig {
   /// Processor power caps, default cap first (paper: 120 W → 40 W).
   std::vector<double> capsWatts = {120, 110, 100, 90, 80, 70, 60, 50, 40};

@@ -286,7 +286,15 @@ double Json::asNumber() const {
 }
 
 std::int64_t Json::asInt() const {
-  return static_cast<std::int64_t>(asNumber());
+  const double v = asNumber();
+  // Every finite double in [-2^63, 2^63) truncates into int64; casting
+  // anything else is undefined behavior.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(v >= -kTwo63 && v < kTwo63)) {
+    throw Error("json: number " + std::to_string(v) +
+                " is outside the integer range");
+  }
+  return static_cast<std::int64_t>(v);
 }
 
 const std::string& Json::asString() const {

@@ -53,7 +53,9 @@ class Json {
   /// Typed accessors; throw pviz::Error on a type mismatch.
   bool asBool() const;
   double asNumber() const;
-  std::int64_t asInt() const;  ///< number, truncated toward zero
+  /// Number truncated toward zero; throws when it is not finite or lies
+  /// outside int64.
+  std::int64_t asInt() const;
   const std::string& asString() const;
   const Array& asArray() const;
   const Object& asObject() const;

@@ -1,11 +1,69 @@
 #include "service/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "telemetry/prometheus.h"
 
 namespace pviz::service {
+
+namespace {
+
+/// One result-cache counter: its key in the `stats` cache section, the
+/// help of the pviz_result_cache_<key> gauge it is copied into at scrape
+/// time, and its value.
+struct CacheSeries {
+  const char* key;
+  const char* help;
+  double value;
+};
+
+/// The result cache's counters, in `stats` key order.
+std::array<CacheSeries, 6> cacheSeries(const ResultCache::Stats& s) {
+  return {{{"hits", "Result cache hits", static_cast<double>(s.hits)},
+           {"misses", "Result cache misses", static_cast<double>(s.misses)},
+           {"insertions", "Result cache insertions",
+            static_cast<double>(s.insertions)},
+           {"evictions", "Result cache evictions",
+            static_cast<double>(s.evictions)},
+           {"entries", "Result cache live entries",
+            static_cast<double>(s.entries)},
+           {"bytes", "Result cache resident bytes",
+            static_cast<double>(s.bytes)}}};
+}
+
+}  // namespace
+
+const ServiceMetrics::ServerSeries ServiceMetrics::kServerSeries[] = {
+    {"overloaded", "pviz_overloaded_total", "Admission-control rejections",
+     &ServiceMetrics::overloaded_},
+    {"bad_requests", "pviz_bad_requests_total",
+     "Frames that did not parse to a request", &ServiceMetrics::badRequests_},
+    {"timeouts", "pviz_timeouts_total",
+     "Connection/request deadline violations", &ServiceMetrics::timeouts_},
+    {"cancelled", "pviz_cancelled_total",
+     "Kernels stopped mid-run by cancellation", &ServiceMetrics::cancelled_},
+    {"rejected_frames", "pviz_rejected_frames_total",
+     "Frames over the size bound", &ServiceMetrics::rejectedFrames_},
+    {"shed_connections", "pviz_shed_connections_total",
+     "Connections shed at accept time", &ServiceMetrics::shedConnections_},
+    {"claims_granted", "pviz_claims_granted_total",
+     "Fleet work-unit claims granted", &ServiceMetrics::claimsGranted_},
+    {"claims_declined", "pviz_claims_declined_total",
+     "Fleet work-unit claims declined under load",
+     &ServiceMetrics::claimsDeclined_},
+    {"queue_depth", "pviz_queue_depth", "Request queue depth", nullptr,
+     &ServiceMetrics::queueDepth_},
+    {"max_queue_depth", "pviz_queue_depth_max",
+     "Request queue depth high-water mark", nullptr,
+     &ServiceMetrics::maxQueueDepth_},
+    {"connections_accepted", "pviz_connections_accepted_total",
+     "Connections accepted", &ServiceMetrics::connectionsAccepted_},
+    {"connections_active", "pviz_connections_active",
+     "Currently open connections", nullptr,
+     &ServiceMetrics::connectionsActive_},
+};
 
 ServiceMetrics::ServiceMetrics() : start_(std::chrono::steady_clock::now()) {
   for (std::size_t i = 0; i < kOpCount; ++i) {
@@ -22,45 +80,13 @@ ServiceMetrics::ServiceMetrics() : start_(std::chrono::steady_clock::now()) {
         "pviz_request_latency_ms", labels,
         "Request service latency in milliseconds");
   }
-  overloaded_ = &registry_.counter("pviz_overloaded_total", {},
-                                   "Admission-control rejections");
-  badRequests_ = &registry_.counter("pviz_bad_requests_total", {},
-                                    "Frames that did not parse to a request");
-  timeouts_ = &registry_.counter("pviz_timeouts_total", {},
-                                 "Connection/request deadline violations");
-  cancelled_ = &registry_.counter("pviz_cancelled_total", {},
-                                  "Kernels stopped mid-run by cancellation");
-  rejectedFrames_ = &registry_.counter(
-      "pviz_rejected_frames_total", {}, "Frames over the size bound");
-  shedConnections_ = &registry_.counter(
-      "pviz_shed_connections_total", {}, "Connections shed at accept time");
-  claimsGranted_ = &registry_.counter(
-      "pviz_claims_granted_total", {}, "Fleet work-unit claims granted");
-  claimsDeclined_ = &registry_.counter(
-      "pviz_claims_declined_total", {},
-      "Fleet work-unit claims declined under load");
-  connectionsAccepted_ = &registry_.counter(
-      "pviz_connections_accepted_total", {}, "Connections accepted");
-  connectionsActive_ = &registry_.gauge("pviz_connections_active", {},
-                                        "Currently open connections");
-  queueDepth_ =
-      &registry_.gauge("pviz_queue_depth", {}, "Request queue depth");
-  maxQueueDepth_ = &registry_.gauge("pviz_queue_depth_max", {},
-                                    "Request queue depth high-water mark");
-  uptimeMs_ = &registry_.gauge("pviz_uptime_ms", {},
-                               "Milliseconds since server start");
-  cacheHitsG_ = &registry_.gauge("pviz_result_cache_hits", {},
-                                 "Result cache hits");
-  cacheMissesG_ = &registry_.gauge("pviz_result_cache_misses", {},
-                                   "Result cache misses");
-  cacheInsertionsG_ = &registry_.gauge("pviz_result_cache_insertions", {},
-                                       "Result cache insertions");
-  cacheEvictionsG_ = &registry_.gauge("pviz_result_cache_evictions", {},
-                                      "Result cache evictions");
-  cacheEntriesG_ = &registry_.gauge("pviz_result_cache_entries", {},
-                                    "Result cache live entries");
-  cacheBytesG_ = &registry_.gauge("pviz_result_cache_bytes", {},
-                                  "Result cache resident bytes");
+  for (const ServerSeries& row : kServerSeries) {
+    if (row.counter != nullptr) {
+      this->*row.counter = &registry_.counter(row.name, {}, row.help);
+    } else {
+      this->*row.gauge = &registry_.gauge(row.name, {}, row.help);
+    }
+  }
 }
 
 void ServiceMetrics::recordRequest(Op op, double latencyMs, bool cached,
@@ -123,91 +149,54 @@ void ServiceMetrics::recordQueueDepth(std::size_t depth) {
   maxQueueDepth_->ratchetMax(static_cast<double>(depth));
 }
 
-ServiceMetrics::Snapshot ServiceMetrics::snapshot() const {
-  Snapshot snap;
-  for (std::size_t i = 0; i < kOpCount; ++i) {
-    const OpInstruments& inst = perOp_[i];
-    OpSnapshot& s = snap.perOp[i];
-    s.requests = inst.requests->value();
-    s.errors = inst.errors->value();
-    s.cacheHits = inst.cacheHits->value();
-    const telemetry::Histogram::Snapshot lat = inst.latencyMs->snapshot();
-    s.meanLatencyMs = lat.mean();
-    s.maxLatencyMs = lat.maxValue;
-    s.p50LatencyMs = lat.percentile(0.50);
-    s.p95LatencyMs = lat.percentile(0.95);
-    s.p99LatencyMs = lat.percentile(0.99);
-    snap.totalRequests += s.requests;
-  }
-  snap.overloaded = overloaded_->value();
-  snap.badRequests = badRequests_->value();
-  snap.timeouts = timeouts_->value();
-  snap.cancelled = cancelled_->value();
-  snap.rejectedFrames = rejectedFrames_->value();
-  snap.shedConnections = shedConnections_->value();
-  snap.claimsGranted = claimsGranted_->value();
-  snap.claimsDeclined = claimsDeclined_->value();
-  snap.queueDepth = static_cast<std::size_t>(queueDepth_->value());
-  snap.maxQueueDepth = static_cast<std::size_t>(maxQueueDepth_->value());
-  snap.connectionsAccepted = connectionsAccepted_->value();
-  snap.connectionsActive =
-      static_cast<std::size_t>(std::max(connectionsActive_->value(), 0.0));
-  snap.uptimeMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
-  return snap;
+std::uint64_t ServiceMetrics::totalRequests() const {
+  std::uint64_t total = 0;
+  for (const OpInstruments& inst : perOp_) total += inst.requests->value();
+  return total;
 }
 
-Json ServiceMetrics::toJson(const Snapshot& snapshot,
-                            const ResultCache::Stats& cache) {
-  Json ops = Json::object();
-  for (std::size_t i = 0; i < snapshot.perOp.size(); ++i) {
-    const OpSnapshot& s = snapshot.perOp[i];
-    if (s.requests == 0) continue;
-    Json op = Json::object();
-    op.set("requests", static_cast<double>(s.requests));
-    op.set("errors", static_cast<double>(s.errors));
-    op.set("cache_hits", static_cast<double>(s.cacheHits));
-    op.set("mean_latency_ms", s.meanLatencyMs);
-    op.set("max_latency_ms", s.maxLatencyMs);
-    op.set("p50_latency_ms", s.p50LatencyMs);
-    op.set("p95_latency_ms", s.p95LatencyMs);
-    op.set("p99_latency_ms", s.p99LatencyMs);
-    ops.set(opToken(static_cast<Op>(i)), std::move(op));
-  }
-
-  Json cacheJson = Json::object();
-  cacheJson.set("hits", static_cast<double>(cache.hits));
-  cacheJson.set("misses", static_cast<double>(cache.misses));
-  cacheJson.set("insertions", static_cast<double>(cache.insertions));
-  cacheJson.set("evictions", static_cast<double>(cache.evictions));
-  cacheJson.set("entries", static_cast<double>(cache.entries));
-  cacheJson.set("bytes", static_cast<double>(cache.bytes));
-
-  Json out = Json::object();
-  out.set("uptime_ms", snapshot.uptimeMs);
-  out.set("total_requests", static_cast<double>(snapshot.totalRequests));
-  out.set("overloaded", static_cast<double>(snapshot.overloaded));
-  out.set("bad_requests", static_cast<double>(snapshot.badRequests));
-  out.set("timeouts", static_cast<double>(snapshot.timeouts));
-  out.set("cancelled", static_cast<double>(snapshot.cancelled));
-  out.set("rejected_frames", static_cast<double>(snapshot.rejectedFrames));
-  out.set("shed_connections", static_cast<double>(snapshot.shedConnections));
-  out.set("claims_granted", static_cast<double>(snapshot.claimsGranted));
-  out.set("claims_declined", static_cast<double>(snapshot.claimsDeclined));
-  out.set("queue_depth", static_cast<double>(snapshot.queueDepth));
-  out.set("max_queue_depth", static_cast<double>(snapshot.maxQueueDepth));
-  out.set("connections_accepted",
-          static_cast<double>(snapshot.connectionsAccepted));
-  out.set("connections_active",
-          static_cast<double>(snapshot.connectionsActive));
-  out.set("ops", std::move(ops));
-  out.set("cache", std::move(cacheJson));
-  return out;
+double ServiceMetrics::uptimeMs() const {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start_)
+      .count();
 }
 
 Json ServiceMetrics::statsJson(const ResultCache::Stats& cache) const {
-  Json out = toJson(snapshot(), cache);
+  std::uint64_t total = 0;  // summed here so it matches the per-op rows
+  Json ops = Json::object();
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    const OpInstruments& inst = perOp_[i];
+    const std::uint64_t requests = inst.requests->value();
+    total += requests;
+    if (requests == 0) continue;
+    const telemetry::Histogram::Snapshot latency = inst.latencyMs->snapshot();
+    Json op = Json::object();
+    op.set("requests", static_cast<double>(requests));
+    op.set("errors", static_cast<double>(inst.errors->value()));
+    op.set("cache_hits", static_cast<double>(inst.cacheHits->value()));
+    op.set("mean_latency_ms", latency.mean());
+    op.set("max_latency_ms", latency.maxValue);
+    op.set("p50_latency_ms", latency.percentile(0.50));
+    op.set("p95_latency_ms", latency.percentile(0.95));
+    op.set("p99_latency_ms", latency.percentile(0.99));
+    ops.set(opToken(static_cast<Op>(i)), std::move(op));
+  }
+
+  Json out = Json::object();
+  out.set("uptime_ms", uptimeMs());
+  out.set("total_requests", static_cast<double>(total));
+  for (const ServerSeries& row : kServerSeries) {
+    out.set(row.statsKey,
+            row.counter != nullptr
+                ? static_cast<double>((this->*row.counter)->value())
+                : std::max((this->*row.gauge)->value(), 0.0));
+  }
+  out.set("ops", std::move(ops));
+  Json cacheJson = Json::object();
+  for (const CacheSeries& row : cacheSeries(cache)) {
+    cacheJson.set(row.key, row.value);
+  }
+  out.set("cache", std::move(cacheJson));
 
   const telemetry::EnergyAttributor::Summary energy = energy_.summary();
   Json energyJson = Json::object();
@@ -262,15 +251,14 @@ Json ServiceMetrics::statsJson(const ResultCache::Stats& cache) const {
 }
 
 std::string ServiceMetrics::prometheusText(const ResultCache::Stats& cache) {
-  uptimeMs_->set(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count());
-  cacheHitsG_->set(static_cast<double>(cache.hits));
-  cacheMissesG_->set(static_cast<double>(cache.misses));
-  cacheInsertionsG_->set(static_cast<double>(cache.insertions));
-  cacheEvictionsG_->set(static_cast<double>(cache.evictions));
-  cacheEntriesG_->set(static_cast<double>(cache.entries));
-  cacheBytesG_->set(static_cast<double>(cache.bytes));
+  // Uptime and the cache counters live outside the registry; they are
+  // copied into gauges at scrape time.
+  registry_.gauge("pviz_uptime_ms", {}, "Milliseconds since server start")
+      .set(uptimeMs());
+  for (const CacheSeries& row : cacheSeries(cache)) {
+    registry_.gauge(std::string("pviz_result_cache_") + row.key, {}, row.help)
+        .set(row.value);
+  }
   // SLO burn rates are derived at scrape time from the bucket ring —
   // the gauges only exist for ops with declared objectives.
   for (const std::string& op : slo_.objectiveOps()) {

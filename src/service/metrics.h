@@ -5,8 +5,11 @@
 // server-wide counters and gauges (queue depth, admission rejections,
 // connections).  The hot path — recordRequest and friends — is now
 // lock-free sharded atomics instead of the old mutex-guarded
-// RunningStats accumulators; merging happens on snapshot (the in-band
-// `stats` reply) or scrape (the `metrics` op, Prometheus text format).
+// RunningStats accumulators; merging happens when the registry is read
+// (the in-band `stats` reply or a `metrics` scrape in Prometheus text
+// format).  The registry is the only copy of every count: `stats` reads
+// the instruments directly, and each server-wide counter or gauge is one
+// row of a table that registers it and names its `stats` key.
 //
 // Each ServiceMetrics owns its own registry so concurrent servers in a
 // test process never share counters; the process-wide
@@ -35,37 +38,6 @@ class ServiceMetrics {
 
   ServiceMetrics();
 
-  struct OpSnapshot {
-    std::uint64_t requests = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t cacheHits = 0;
-    double meanLatencyMs = 0.0;
-    double maxLatencyMs = 0.0;
-    double p50LatencyMs = 0.0;
-    double p95LatencyMs = 0.0;
-    double p99LatencyMs = 0.0;
-  };
-
-  struct Snapshot {
-    std::array<OpSnapshot, kOpCount> perOp;  ///< indexed by Op
-    std::uint64_t totalRequests = 0;
-    std::uint64_t overloaded = 0;       ///< admission-control rejections
-    std::uint64_t badRequests = 0;      ///< unparseable frames
-    std::uint64_t timeouts = 0;         ///< deadline violations (idle,
-                                        ///< stalled frame, request budget)
-    std::uint64_t cancelled = 0;        ///< kernels stopped mid-run by the
-                                        ///< request's cancellation token
-    std::uint64_t rejectedFrames = 0;   ///< frames over the size bound
-    std::uint64_t shedConnections = 0;  ///< accept-time connection shedding
-    std::uint64_t claimsGranted = 0;    ///< fleet work-unit claims granted
-    std::uint64_t claimsDeclined = 0;   ///< fleet claims declined (load)
-    std::size_t queueDepth = 0;
-    std::size_t maxQueueDepth = 0;
-    std::uint64_t connectionsAccepted = 0;
-    std::size_t connectionsActive = 0;
-    double uptimeMs = 0.0;  ///< wall time since the metrics were created
-  };
-
   /// One completed request (any status but "overloaded").  Feeds the op
   /// instruments and, when the op has an SLO objective, the burn-rate
   /// buckets; a violating request is logged to the event ring.
@@ -93,14 +65,14 @@ class ServiceMetrics {
   /// Queue depth after a push/pop (tracks the high-water mark).
   void recordQueueDepth(std::size_t depth);
 
-  Snapshot snapshot() const;
+  /// Completed requests over every op.
+  std::uint64_t totalRequests() const;
+  /// Wall time since the metrics were created.
+  double uptimeMs() const;
 
-  /// The `stats` result payload: this snapshot plus the cache counters.
-  static Json toJson(const Snapshot& snapshot,
-                     const ResultCache::Stats& cache);
-
-  /// The full `stats` payload: toJson() plus the energy-attribution and
-  /// SLO sections this instance tracks.
+  /// The `stats` payload: uptime, the server-wide counters and gauges,
+  /// the per-op instruments, `cache`, and the energy-attribution and SLO
+  /// sections this instance tracks.
   Json statsJson(const ResultCache::Stats& cache) const;
 
   /// The `metrics` op payload: the full registry in Prometheus text
@@ -130,27 +102,32 @@ class ServiceMetrics {
     telemetry::Histogram* latencyMs = nullptr;
   };
 
+  /// One server-wide counter or gauge: the series it is registered as
+  /// and its key in the `stats` reply.  kServerSeries holds one row per
+  /// instrument, in `stats` key order.
+  struct ServerSeries {
+    const char* statsKey;
+    const char* name;
+    const char* help;
+    telemetry::Counter* ServiceMetrics::*counter = nullptr;
+    telemetry::Gauge* ServiceMetrics::*gauge = nullptr;
+  };
+  static const ServerSeries kServerSeries[];
+
   telemetry::MetricRegistry registry_;
   std::array<OpInstruments, kOpCount> perOp_;
-  telemetry::Counter* overloaded_;
-  telemetry::Counter* badRequests_;
-  telemetry::Counter* timeouts_;
-  telemetry::Counter* cancelled_;
-  telemetry::Counter* rejectedFrames_;
-  telemetry::Counter* shedConnections_;
-  telemetry::Counter* claimsGranted_;
-  telemetry::Counter* claimsDeclined_;
-  telemetry::Counter* connectionsAccepted_;
-  telemetry::Gauge* connectionsActive_;
-  telemetry::Gauge* queueDepth_;
-  telemetry::Gauge* maxQueueDepth_;
-  telemetry::Gauge* uptimeMs_;
-  telemetry::Gauge* cacheHitsG_;
-  telemetry::Gauge* cacheMissesG_;
-  telemetry::Gauge* cacheInsertionsG_;
-  telemetry::Gauge* cacheEvictionsG_;
-  telemetry::Gauge* cacheEntriesG_;
-  telemetry::Gauge* cacheBytesG_;
+  telemetry::Counter* overloaded_ = nullptr;
+  telemetry::Counter* badRequests_ = nullptr;
+  telemetry::Counter* timeouts_ = nullptr;
+  telemetry::Counter* cancelled_ = nullptr;
+  telemetry::Counter* rejectedFrames_ = nullptr;
+  telemetry::Counter* shedConnections_ = nullptr;
+  telemetry::Counter* claimsGranted_ = nullptr;
+  telemetry::Counter* claimsDeclined_ = nullptr;
+  telemetry::Gauge* queueDepth_ = nullptr;
+  telemetry::Gauge* maxQueueDepth_ = nullptr;
+  telemetry::Counter* connectionsAccepted_ = nullptr;
+  telemetry::Gauge* connectionsActive_ = nullptr;
   std::chrono::steady_clock::time_point start_;
   telemetry::SloTracker slo_;
   telemetry::EventRing events_;

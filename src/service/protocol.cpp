@@ -37,6 +37,7 @@ const Json& requiredField(const Json& json, const char* key) {
 // out-of-range double is undefined behavior.
 constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
 constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::int64_t kMaxUint32 = std::numeric_limits<std::uint32_t>::max();
 // (size+1)^3 points must fit vis::Id.
 constexpr std::int64_t kMaxSize = std::int64_t{1} << 20;
 
@@ -51,9 +52,9 @@ std::int64_t wireInt(const Json& value, const char* key, std::int64_t lo,
 }
 
 std::int64_t intField(const Json& json, const char* key, std::int64_t lo,
-                      std::int64_t hi) {
+                      std::int64_t hi, std::int64_t fallback = 0) {
   const Json* v = json.find(key);
-  return v != nullptr ? wireInt(*v, key, lo, hi) : 0;
+  return v != nullptr ? wireInt(*v, key, lo, hi) : fallback;
 }
 
 }  // namespace
@@ -239,7 +240,8 @@ Request requestFromJson(const Json& json) {
         request.sizes.push_back(wireInt(s, "sizes", 1, kMaxSize));
       }
     }
-    request.cycles = static_cast<int>(intField(json, "cycles", 0, kMaxInt));
+    request.cycles =
+        static_cast<int>(intField(json, "cycles", 0, core::kMaxCycles));
     return request;
   }
 
@@ -461,14 +463,17 @@ telemetry::TraceSpan traceSpanFromJson(const Json& json) {
   telemetry::TraceSpan span;
   span.name = stringField(json, "name", "");
   span.category = stringField(json, "cat", "");
-  span.traceId = static_cast<std::uint64_t>(numberField(json, "trace_id", 0.0));
-  span.parentSpan =
-      static_cast<std::uint64_t>(numberField(json, "parent_span", 0.0));
-  span.pid = static_cast<std::uint32_t>(numberField(json, "pid", 1.0));
-  span.threadId = static_cast<std::uint32_t>(numberField(json, "tid", 0.0));
-  span.startUs = static_cast<std::uint64_t>(numberField(json, "start_us", 0.0));
-  span.durationUs =
-      static_cast<std::uint64_t>(numberField(json, "dur_us", 0.0));
+  span.traceId = static_cast<std::uint64_t>(
+      intField(json, "trace_id", 0, kMaxExactInt));
+  span.parentSpan = static_cast<std::uint64_t>(
+      intField(json, "parent_span", 0, kMaxExactInt));
+  span.pid = static_cast<std::uint32_t>(intField(json, "pid", 0, kMaxUint32, 1));
+  span.threadId =
+      static_cast<std::uint32_t>(intField(json, "tid", 0, kMaxUint32));
+  span.startUs = static_cast<std::uint64_t>(
+      intField(json, "start_us", 0, kMaxExactInt));
+  span.durationUs = static_cast<std::uint64_t>(
+      intField(json, "dur_us", 0, kMaxExactInt));
   if (const Json* args = json.find("args")) {
     for (const auto& [key, value] : args->asObject()) {
       span.args.emplace_back(key, value.asString());

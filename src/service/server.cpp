@@ -160,14 +160,14 @@ Json Server::handleFleetOp(const Request& request) {
         std::lock_guard lock(queueMutex_);
         depth = queue_.size();
       }
-      const ServiceMetrics::Snapshot snap = metrics_.snapshot();
       out.set("worker", workerId());
       out.set("seq", request.seq);
       out.set("queue_depth", static_cast<double>(depth));
       out.set("connections_active",
               static_cast<double>(activeConnections_.load()));
-      out.set("uptime_ms", snap.uptimeMs);
-      out.set("total_requests", static_cast<double>(snap.totalRequests));
+      out.set("uptime_ms", metrics_.uptimeMs());
+      out.set("total_requests",
+              static_cast<double>(metrics_.totalRequests()));
       // The worker's steady-clock reading lets the coordinator estimate
       // this process's clock offset from the beat's RTT midpoint.
       out.set("now_us", static_cast<double>(telemetry::traceNowUs()));

@@ -54,12 +54,24 @@ TEST(ExecutionSim, EnergyEqualsPowerTimesTime) {
   EXPECT_GT(m.energyJoules, 0.0);
 }
 
-TEST(ExecutionSim, MeteredPowerAgreesWithAccountedPower) {
+TEST(ExecutionSim, SampledPowerAgreesWithAccountedPower) {
   ExecutionSimulator sim;
   // A long kernel gets plenty of 100 ms samples.
   const Measurement m = sim.run(repeatKernel(memoryBound(), 20), 120.0);
-  ASSERT_GT(m.powerTrace.size(), 5u);
-  EXPECT_NEAR(m.meteredWatts, m.averageWatts, m.averageWatts * 0.05);
+  ASSERT_GT(m.timeline.size(), 5u);
+  // Mean of the full-interval samples (the trailing flush may be short).
+  double sum = 0.0;
+  int full = 0;
+  double previous = 0.0;
+  for (const auto& sample : m.timeline) {
+    if (sample.timeSeconds - previous >= 0.1 - 1e-9) {
+      sum += sample.watts;
+      ++full;
+    }
+    previous = sample.timeSeconds;
+  }
+  ASSERT_GT(full, 5);
+  EXPECT_NEAR(sum / full, m.averageWatts, m.averageWatts * 0.05);
 }
 
 TEST(ExecutionSim, CapThrottlesComputeKernels) {

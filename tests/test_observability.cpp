@@ -16,6 +16,7 @@
 #include "core/algorithms.h"
 #include "service/client.h"
 #include "service/json.h"
+#include "service/metrics.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "telemetry/energy_attribution.h"
@@ -563,7 +564,7 @@ TEST(ServerObservability, CancelledFleetTracedRequestRetainsNoSpans) {
   doomed.traceId = 888;
   const Response response = client.request(doomed);
   EXPECT_EQ(response.status, "error");
-  EXPECT_GE(server.metrics().snapshot().cancelled, 1u);
+  EXPECT_GE(server.statsJson().find("cancelled")->asNumber(), 1.0);
 
   Request dump;
   dump.op = Op::TraceDump;
@@ -586,6 +587,74 @@ TEST(ServerObservability, CancelledFleetTracedRequestRetainsNoSpans) {
   EXPECT_TRUE(sawCancelled);
 
   server.stop();
+}
+
+// ---------------------------------------------------------------- stats
+// The whole `stats` reply for a fixed sequence of recordings, key order
+// included (Json objects keep insertion order).  uptime_ms is wall time,
+// so it is checked for presence and dropped before the comparison.
+TEST(ServiceMetrics, StatsReplyIsPinned) {
+  service::ServiceMetrics metrics;
+  metrics.recordRequest(Op::Classify, 1.5, false, false);
+  metrics.recordRequest(Op::Classify, 0.25, true, false);
+  metrics.recordRequest(Op::Study, 40.0, false, true);
+  metrics.recordRequest(Op::Stats, 0.125, false, false);
+  metrics.recordOverloaded();
+  metrics.recordBadRequest();
+  metrics.recordBadRequest();
+  metrics.recordTimeout();
+  metrics.recordCancelled();
+  metrics.recordRejectedFrame();
+  metrics.recordShedConnection();
+  metrics.recordClaim(true);
+  metrics.recordClaim(true);
+  metrics.recordClaim(false);
+  metrics.connectionOpened();
+  metrics.connectionOpened();
+  metrics.connectionClosed();
+  metrics.recordQueueDepth(3);
+  metrics.recordQueueDepth(1);
+  metrics.energy().beginRequest(1, "study", 1000);
+  metrics.energy().recordRun(1, "contour", 120.0, 10.0, 0.5);
+  metrics.energy().endRequest(1, 2000);
+
+  service::ResultCache::Stats cache;
+  cache.hits = 7;
+  cache.misses = 5;
+  cache.insertions = 4;
+  cache.evictions = 1;
+  cache.entries = 3;
+  cache.bytes = 4096;
+
+  const Json stats = metrics.statsJson(cache);
+  ASSERT_NE(stats.find("uptime_ms"), nullptr);
+  Json::Object rest = stats.asObject();
+  ASSERT_EQ(rest.front().first, "uptime_ms");
+  rest.erase(rest.begin());
+  EXPECT_EQ(Json(rest).dump(),
+            R"({"total_requests":4,"overloaded":1,"bad_requests":2,"timeouts":1,)"
+            R"("cancelled":1,"rejected_frames":1,"shed_connections":1,)"
+            R"("claims_granted":2,"claims_declined":1,"queue_depth":1,)"
+            R"("max_queue_depth":3,"connections_accepted":2,)"
+            R"("connections_active":1,"ops":{)"
+            R"("study":{"requests":1,"errors":1,"cache_hits":0,)"
+            R"("mean_latency_ms":40,"max_latency_ms":40,"p50_latency_ms":40,)"
+            R"("p95_latency_ms":40,"p99_latency_ms":40},)"
+            R"("classify":{"requests":2,"errors":0,"cache_hits":1,)"
+            R"("mean_latency_ms":0.875,"max_latency_ms":1.5,)"
+            R"("p50_latency_ms":0.25600000000000001,)"
+            R"("p95_latency_ms":0.31359999999999999,"p99_latency_ms":0.31872},)"
+            R"("stats":{"requests":1,"errors":0,"cache_hits":0,)"
+            R"("mean_latency_ms":0.125,"max_latency_ms":0.125,)"
+            R"("p50_latency_ms":0.096000000000000002,)"
+            R"("p95_latency_ms":0.096000000000000002,)"
+            R"("p99_latency_ms":0.096000000000000002}},)"
+            R"("cache":{"hits":7,"misses":5,"insertions":4,"evictions":1,)"
+            R"("entries":3,"bytes":4096},)"
+            R"("energy":{"total_joules":10,"overlap_joules":0,"requests":1,)"
+            R"("joules_per_request":10,"by_algorithm":{"contour":{)"
+            R"("joules":10,"runs":1,"requests":1,"joules_per_request":10}},)"
+            R"("by_cap":{"120":{"joules":10,"runs":1}}},"events_emitted":4})");
 }
 
 }  // namespace

@@ -36,6 +36,38 @@ TEST(PowerSampler, EmitsOneSamplePerBoundaryCrossed) {
   }
 }
 
+// The simulator's use: one advanceTo per 5 ms governor quantum.
+TEST(PowerSampler, ConstantLoadReadsConstantPower) {
+  PowerSampler sampler(0.1);
+  const double watts = 73.0;
+  const double dt = 0.005;
+  for (int quantum = 0; quantum < 200; ++quantum) {
+    sampler.advanceTo(static_cast<double>(quantum + 1) * dt,
+                      watts * dt * static_cast<double>(quantum + 1));
+  }
+  const auto timeline = sampler.finish();
+  ASSERT_EQ(timeline.size(), 10u);  // 1 s at 100 ms cadence
+  for (const PowerSample& s : timeline) {
+    EXPECT_NEAR(s.watts, watts, 1e-6) << "at t=" << s.timeSeconds;
+  }
+  EXPECT_NEAR(timeline.back().joules, watts, 1e-9);
+}
+
+TEST(PowerSampler, DetectsAStepInPower) {
+  PowerSampler sampler(0.1);
+  double joules = 0.0;
+  for (int quantum = 0; quantum < 100; ++quantum) {
+    joules += (quantum < 50 ? 40.0 : 90.0) * 0.01;
+    sampler.advanceTo(static_cast<double>(quantum + 1) * 0.01, joules);
+  }
+  const auto timeline = sampler.finish();
+  ASSERT_EQ(timeline.size(), 10u);
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    EXPECT_NEAR(timeline[i].watts, i < 5 ? 40.0 : 90.0, 1e-6)
+        << "sample " << i;
+  }
+}
+
 TEST(PowerSampler, InterpolatesInsideASimulationStep) {
   PowerSampler sampler(0.1);
   // 80 W for 0.05 s, then 40 W for 0.10 s: the first boundary (0.1 s)

@@ -367,6 +367,7 @@ TEST(Protocol, WireIntegersAreRangeChecked) {
                        R"("size":1048577})"),
            std::string(R"({"op":"study","sizes":[16,3e9]})"),
            std::string(R"({"op":"study","cycles":1e20})"),
+           std::string(R"({"op":"study","cycles":1001})"),
            std::string(R"({"op":"ping","trace_id":1e30})"),
            std::string(R"({"op":"ping","parent_span":-2})"),
            std::string(R"({"op":"events","limit":1e20})"),
@@ -392,6 +393,9 @@ TEST(Protocol, WireIntegersAreRangeChecked) {
                                         R"("trace_id":9007199254740992})"))
                 .traceId,
             9007199254740992u);
+  EXPECT_EQ(
+      requestFromJson(Json::parse(R"({"op":"study","cycles":1000})")).cycles,
+      1000);
   // The message names the field.
   try {
     requestFromJson(Json::parse(advect + R"("advect_seeds":1e12})"));
@@ -400,6 +404,37 @@ TEST(Protocol, WireIntegersAreRangeChecked) {
     EXPECT_NE(std::string(e.what()).find("advect_seeds"), std::string::npos)
         << e.what();
   }
+}
+
+// Worker replies are parsed with the same range checks: an integer field
+// past its bound is a clean pviz::Error, never an out-of-range cast.
+TEST(Protocol, ReplyIntegersAreRangeChecked) {
+  for (const char* bad : {R"({"name":"x","trace_id":1e30})",
+                          R"({"name":"x","start_us":-1})",
+                          R"({"name":"x","dur_us":1e300})",
+                          R"({"name":"x","pid":4294967296})",
+                          R"({"name":"x","tid":2.5})"}) {
+    EXPECT_THROW(traceSpanFromJson(Json::parse(bad)), Error) << bad;
+  }
+  const telemetry::TraceSpan edge = traceSpanFromJson(Json::parse(
+      R"({"name":"x","trace_id":9007199254740992,"pid":4294967295})"));
+  EXPECT_EQ(edge.traceId, 9007199254740992u);
+  EXPECT_EQ(edge.pid, 4294967295u);
+  EXPECT_EQ(traceSpanFromJson(Json::parse(R"({"name":"x"})")).pid, 1u);
+
+  vis::KernelProfile profile;
+  profile.kernel = "contour";
+  profile.elements = 8;
+  profile.addPhase("mc-cells").flops = 1e6;
+  std::string text = profileToJson(profile).dump();
+  const std::string elements = R"("elements":8)";
+  ASSERT_NE(text.find(elements), std::string::npos) << text;
+  text.replace(text.find(elements), elements.size(), R"("elements":1e300)");
+  EXPECT_THROW(profileFromJson(Json::parse(text)), Error);
+
+  // In range, asInt still truncates toward zero.
+  EXPECT_EQ(Json(-2.75).asInt(), -2);
+  EXPECT_THROW(Json(9223372036854775808.0).asInt(), Error);
 }
 
 TEST(Protocol, AdvectOverridesNeedTheAdvectionAlgorithm) {

@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
         for (std::int64_t s : util::parseSizeList(next())) request.sizes.push_back(s);
       }
       else if (arg == "--caps") request.capsWatts = util::parseCapList(next());
-      else if (arg == "--cycles") request.cycles = static_cast<int>(util::parseInt(next(), "--cycles"));
+      else if (arg == "--cycles") request.cycles = static_cast<int>(parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--budget") request.budgetWatts = util::parseDouble(next(), "--budget");
       else if (arg == "--sim-steps") request.simSteps = static_cast<int>(util::parseInt(next(), "--sim-steps"));
       else if (arg == "--delay-ms") request.delayMs = util::parseDouble(next(), "--delay-ms");

@@ -65,7 +65,7 @@ sweep scope (defaults = the paper's full 8×9×4 matrix):
                        sweep gains an outermost block dimension (one
                        full study per count, concatenated).  Default:
                        worker-configured decomposition (no dimension).
-  --cycles N           visualization cycles (default 10)
+  --cycles N           visualization cycles (default 10, at most 1000)
 
 failure injection:
   --kill-one           SIGKILL one spawned worker mid-sweep
@@ -148,7 +148,15 @@ int main(int argc, char** argv) {
           blockCounts.push_back(b);
         }
       }
-      else if (arg == "--cycles") cycles = static_cast<int>(util::parseInt(next(), "--cycles"));
+      else if (arg == "--cycles") {
+        const std::int64_t parsed = util::parseInt(next(), "--cycles");
+        if (parsed < 1 || parsed > core::kMaxCycles) {
+          std::cerr << "--cycles must be in [1, " << core::kMaxCycles
+                    << "], got " << parsed << '\n';
+          std::exit(2);
+        }
+        cycles = static_cast<int>(parsed);
+      }
       else if (arg == "--kill-one") killOne = true;
       else if (arg == "--kill-after-ms") killAfterMs = static_cast<int>(util::parseInt(next(), "--kill-after-ms"));
       else if (arg == "--report") reportPath = next();

@@ -58,7 +58,7 @@ options:
   --result-cache N    in-memory result cache entries (0 disables,
                       default 1024)
   --caps w,w,...      default cap sweep for classify/study requests
-  --cycles N          default visualization cycles (default 10)
+  --cycles N          default visualization cycles (default 10, at most 1000)
   --backend NAME      execution backend for requests that don't name one:
                       serial | threaded | vectorized (default: the
                       POWERVIZ_BACKEND environment default, else threaded)
@@ -173,15 +173,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "powerviz_serve: draining...\n");
     server.stop();
 
-    const auto snap = server.metrics().snapshot();
+    const service::Json stats = server.statsJson();
+    const auto count = [&](const char* key) {
+      return static_cast<unsigned long long>(stats.find(key)->asNumber());
+    };
     std::printf(
         "powerviz_serve exiting: %llu requests, %llu overloaded, "
         "%llu timeouts, %llu rejected frames, %llu shed connections\n",
-        static_cast<unsigned long long>(snap.totalRequests),
-        static_cast<unsigned long long>(snap.overloaded),
-        static_cast<unsigned long long>(snap.timeouts),
-        static_cast<unsigned long long>(snap.rejectedFrames),
-        static_cast<unsigned long long>(snap.shedConnections));
+        count("total_requests"), count("overloaded"), count("timeouts"),
+        count("rejected_frames"), count("shed_connections"));
     return 0;
   } catch (const pviz::Error& e) {
     std::cerr << "powerviz_serve: " << e.what() << '\n';

@@ -38,7 +38,8 @@ options:
   --sizes n,n,...       cells per axis (default: 32,64,128,256)
   --caps w,w,...        power caps in watts, default first
                         (default: 120..40 step 10)
-  --cycles N            visualization cycles per configuration (default 10)
+  --cycles N            visualization cycles per configuration (default 10,
+                        at most 1000)
   --full-render         trace all 50 cameras instead of sampling 8
   --csv PATH            write every record as CSV
   --trace PATH          write the per-phase execution trace (wall time,
@@ -120,7 +121,7 @@ int main(int argc, char** argv) {
       };
       if (arg == "-h" || arg == "--help") usage(0);
       else if (arg == "--phase") phase = static_cast<int>(util::parseInt(next(), "--phase"));
-      else if (arg == "--cycles") config.cycles = static_cast<int>(util::parseInt(next(), "--cycles"));
+      else if (arg == "--cycles") config.cycles = static_cast<int>(parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--full-render") config.params.sampledCameraCount = 0;
       else if (arg == "--csv") csvPath = next();
       else if (arg == "--backend") {
