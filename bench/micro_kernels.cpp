@@ -194,11 +194,9 @@ BENCHMARK(BM_ParticleAdvection)->Arg(100)->Arg(400);
 // core serializes the tail — and the case the work-stealing scheduler
 // exists for.  `legacy` is a bench-local replica of the pre-scheduler
 // pipeline (one growing polyline buffer per chunk, merged under a
-// mutex) over the exact same counter-based seeds, so the three columns
-// separate the pipeline effect (legacy vs worksteal) from the schedule
-// effect (static vs worksteal).  Rows land in BENCH_kernels.json as a
-// dedicated `flow` table; on a single-core host the two schedule
-// columns coincide by construction.
+// mutex) over the exact same counter-based seeds, so the two columns
+// isolate the pipeline effect.  Rows land in BENCH_kernels.json as a
+// dedicated `flow` table.
 const vis::UniformGrid& vortexTrapGrid() {
   static const vis::UniformGrid g = [] {
     vis::UniformGrid grid({33, 33, 33}, {0.0, 0.0, 0.0},
@@ -286,7 +284,7 @@ std::int64_t legacyAdvect(util::ExecutionContext& ctx,
   return totalSteps.load();
 }
 
-enum class FlowColumn { Legacy, StaticChunk, WorkSteal };
+enum class FlowColumn { Legacy, WorkSteal };
 
 void BM_AdvectFlow(benchmark::State& state, FlowColumn column) {
   const vis::UniformGrid& g = vortexTrapGrid();
@@ -296,9 +294,6 @@ void BM_AdvectFlow(benchmark::State& state, FlowColumn column) {
   filter.setMaxSteps(kFlowMaxSteps);
   filter.setStepLength(kFlowStepLength);
   filter.setSeedRngSeed(kFlowRngSeed);
-  filter.setSchedule(column == FlowColumn::StaticChunk
-                         ? vis::ParticleAdvectionFilter::Schedule::StaticChunk
-                         : vis::ParticleAdvectionFilter::Schedule::WorkSteal);
   util::ExecutionContext ctx(pool());
   std::int64_t steps = 0;
   for (auto _ : state) {
@@ -312,8 +307,6 @@ void BM_AdvectFlow(benchmark::State& state, FlowColumn column) {
   state.SetItemsProcessed(steps);  // items/s == RK4 steps/s
 }
 BENCHMARK_CAPTURE(BM_AdvectFlow, legacy, FlowColumn::Legacy)
-    ->Arg(1000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AdvectFlow, static, FlowColumn::StaticChunk)
     ->Arg(1000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_AdvectFlow, worksteal, FlowColumn::WorkSteal)
     ->Arg(1000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
@@ -345,10 +338,9 @@ BENCHMARK(BM_ExternalFacesArenaReuse)->Arg(16)->Arg(32);
 // --- Backend comparison ---------------------------------------------
 //
 // The same kernel pinned to each execution backend (see DESIGN §11) at
-// the study-scale 128³/256³ tiers.  All backends are bit-identical, so
-// the delta is pure dispatch + code-path cost: `vectorized` runs the
-// filters' SoA row sweeps (auto-vectorized at -O3), `threaded` and
-// `serial` run the scalar incremental paths.  Names land in
+// the study-scale 128³/256³ tiers.  Both backends run the same SoA row
+// sweeps and are bit-identical, so the delta is pure dispatch cost: the
+// pool's parallel speedup over one thread.  Names land in
 // BENCH_kernels.json as BM_<Kernel>Backend/<backend>/<size> — the
 // per-backend columns the bench table in the README is built from.
 
@@ -370,9 +362,6 @@ BENCHMARK_CAPTURE(BM_ContourBackend, serial, exec::BackendKind::Serial)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ContourBackend, threaded, exec::BackendKind::Threaded)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ContourBackend, vectorized,
-                  exec::BackendKind::Vectorized)
-    ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_ThresholdBackend(benchmark::State& state, exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
@@ -389,9 +378,6 @@ void BM_ThresholdBackend(benchmark::State& state, exec::BackendKind kind) {
 BENCHMARK_CAPTURE(BM_ThresholdBackend, serial, exec::BackendKind::Serial)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ThresholdBackend, threaded, exec::BackendKind::Threaded)
-    ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ThresholdBackend, vectorized,
-                  exec::BackendKind::Vectorized)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_ExternalFacesBackend(benchmark::State& state,
@@ -411,9 +397,6 @@ BENCHMARK_CAPTURE(BM_ExternalFacesBackend, serial, exec::BackendKind::Serial)
 BENCHMARK_CAPTURE(BM_ExternalFacesBackend, threaded,
                   exec::BackendKind::Threaded)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExternalFacesBackend, vectorized,
-                  exec::BackendKind::Vectorized)
-    ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
@@ -431,9 +414,6 @@ void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
 BENCHMARK_CAPTURE(BM_ClipSphereBackend, serial, exec::BackendKind::Serial)
     ->Arg(128)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ClipSphereBackend, threaded, exec::BackendKind::Threaded)
-    ->Arg(128)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ClipSphereBackend, vectorized,
-                  exec::BackendKind::Vectorized)
     ->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_BvhBuild(benchmark::State& state) {

@@ -51,10 +51,8 @@ std::string workKey(Algorithm algorithm, vis::Id size,
   // compile here until the key lists it.
   const auto& [isovalueCount, thresholdLo, thresholdHi, clipRadius,
                isovolumeLo, isovolumeHi, seedCount, maxSteps, stepLength,
-               advectionMode, advectionSchedule, cameraCount, imageWidth,
-               imageHeight, sampledCameraCount, blockCount, ghostLayers] =
-      params;
-  (void)advectionSchedule;  // bit-identical schedules share one profile
+               advectionMode, cameraCount, imageWidth, imageHeight,
+               sampledCameraCount, blockCount, ghostLayers] = params;
   using std::to_string;
   // Decomposition (|b..g..) changes the profile through its ghost-exchange
   // and block-stitch phases; the execution backend is no parameter at

@@ -43,7 +43,7 @@ struct EngineConfig {
   /// park the whole worker pool.
   double maxPingDelayMs = 10000.0;
   /// Execution backend for requests that don't name one ("serial" /
-  /// "threaded" / "vectorized"; empty = process default, i.e.
+  /// "threaded"; empty = process default, i.e.
   /// POWERVIZ_BACKEND or threaded).  A request's own `backend` field
   /// overrides this per request.
   std::string backend;

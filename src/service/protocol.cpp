@@ -137,9 +137,6 @@ Json toJson(const Request& request) {
       if (!request.advectMode.empty()) {
         out.set("advect_mode", request.advectMode);
       }
-      if (!request.advectSchedule.empty()) {
-        out.set("advect_schedule", request.advectSchedule);
-      }
       if (request.blocks > 0) out.set("blocks", request.blocks);
       if (request.ghost > 0) out.set("ghost", request.ghost);
       break;
@@ -262,14 +259,9 @@ Request requestFromJson(const Json& json) {
   if (!request.advectMode.empty()) {
     vis::ParticleAdvectionFilter::parseMode(request.advectMode);
   }
-  request.advectSchedule = stringField(json, "advect_schedule", "");
-  if (!request.advectSchedule.empty()) {
-    vis::ParticleAdvectionFilter::parseSchedule(request.advectSchedule);
-  }
   PVIZ_REQUIRE(request.algorithm == core::Algorithm::ParticleAdvection ||
                    (request.advectSeeds == 0 && request.advectSteps == 0 &&
-                    request.advectMode.empty() &&
-                    request.advectSchedule.empty()),
+                    request.advectMode.empty()),
                "advect_* overrides are only valid with algorithm=advection");
   return request;
 }
@@ -487,9 +479,6 @@ core::AlgorithmParams paramsFor(const Request& request,
   if (request.advectSeeds > 0) base.seedCount = request.advectSeeds;
   if (request.advectSteps > 0) base.maxSteps = request.advectSteps;
   if (!request.advectMode.empty()) base.advectionMode = request.advectMode;
-  if (!request.advectSchedule.empty()) {
-    base.advectionSchedule = request.advectSchedule;
-  }
   if (request.blocks > 0) base.blockCount = request.blocks;
   if (request.ghost > 0) base.ghostLayers = request.ghost;
   return base;

@@ -136,7 +136,7 @@ struct Request {
   int eventsLimit = 0;
 
   /// Execution backend for this request's kernels:
-  /// "serial"/"threaded"/"vectorized", or empty for the server's
+  /// "serial"/"threaded", or empty for the server's
   /// default.  Valid on any op; not part of the cache key — backends
   /// are bit-identical by contract, so the same request on a different
   /// backend must hit the same cache entry.
@@ -146,12 +146,10 @@ struct Request {
   // (characterize / classify / budget) when algorithm == advection
   // (requestFromJson rejects them on any other algorithm).  Zero /
   // empty = server-configured defaults.  Seeds, steps and mode change
-  // the profile and are part of the cache key; the schedule is excluded
-  // like `backend` — schedules are bit-identical by contract.
+  // the profile and are part of the cache key.
   vis::Id advectSeeds = 0;      ///< seed count (flow workload scale)
   vis::Id advectSteps = 0;      ///< max RK4 steps (integration length)
   std::string advectMode;       ///< "streamline" | "pathline"
-  std::string advectSchedule;   ///< "worksteal" | "static"
 
   // Multi-block decomposition overrides, valid on any kernel-running op
   // (characterize / classify / budget / study).  Zero = server default.

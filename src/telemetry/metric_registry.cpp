@@ -93,22 +93,33 @@ Histogram::Snapshot Histogram::snapshot() const {
 double Histogram::Snapshot::percentile(double q) const {
   if (count == 0) return 0.0;
   q = std::min(std::max(q, 0.0), 1.0);
-  // Same rank convention as util::percentile over the sorted multiset.
+  // The sample of rank r (0-based, ascending), placed inside its bucket
+  // at the midpoint of its share of the bucket's width.
+  const auto rankValue = [this](std::uint64_t rank) {
+    std::uint64_t before = 0;
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      if (rank >= before + buckets[b]) {
+        before += buckets[b];
+        continue;
+      }
+      if (b == kBucketCount) return maxValue;  // overflow bucket
+      const double lo =
+          b == 0 ? 0.0 : bucketUpperBound(static_cast<int>(b) - 1);
+      const double hi = bucketUpperBound(static_cast<int>(b));
+      const double frac = (static_cast<double>(rank - before) + 0.5) /
+                          static_cast<double>(buckets[b]);
+      return std::min(lo + (hi - lo) * frac, maxValue);
+    }
+    return maxValue;
+  };
+  // Same rank convention as util::percentile over the sorted multiset:
+  // interpolate between the two ranks that bracket q * (count - 1).
   const double target = q * static_cast<double>(count - 1);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    if (buckets[b] == 0) continue;
-    const double before = static_cast<double>(cumulative);
-    cumulative += buckets[b];
-    if (target >= static_cast<double>(cumulative)) continue;
-    if (b == kBucketCount) return maxValue;  // overflow bucket
-    const double lo = b == 0 ? 0.0 : bucketUpperBound(static_cast<int>(b) - 1);
-    const double hi = bucketUpperBound(static_cast<int>(b));
-    const double frac =
-        (target - before + 0.5) / static_cast<double>(buckets[b]);
-    return std::min(lo + (hi - lo) * frac, maxValue);
-  }
-  return maxValue;
+  const auto lower = static_cast<std::uint64_t>(target);
+  const std::uint64_t upper = std::min(lower + 1, count - 1);
+  const double frac = target - static_cast<double>(lower);
+  return std::min(
+      rankValue(lower) * (1.0 - frac) + rankValue(upper) * frac, maxValue);
 }
 
 // ---- MetricRegistry -----------------------------------------------------

@@ -1,11 +1,25 @@
 #include "util/options.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "util/error.h"
 
 namespace pviz::util {
+
+namespace {
+
+/// The whole token as a base-10 integer, or false.
+bool wholeInt(const std::string& token, std::int64_t& value) {
+  errno = 0;
+  char* end = nullptr;
+  value = static_cast<std::int64_t>(std::strtoll(token.c_str(), &end, 10));
+  return !token.empty() && end == token.c_str() + token.size() && errno == 0;
+}
+
+}  // namespace
 
 std::vector<std::string> splitList(const std::string& csv) {
   std::vector<std::string> out;
@@ -18,13 +32,20 @@ std::vector<std::string> splitList(const std::string& csv) {
 }
 
 std::int64_t parseInt(const std::string& token, const std::string& what) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(token.c_str(), &end, 10);
-  PVIZ_REQUIRE(!token.empty() && end == token.c_str() + token.size() &&
-                   errno == 0,
+  std::int64_t value = 0;
+  PVIZ_REQUIRE(wholeInt(token, value),
                what + ": '" + token + "' is not an integer");
-  return static_cast<std::int64_t>(value);
+  return value;
+}
+
+std::int64_t parseBounded(const std::string& token, const std::string& flag,
+                          std::int64_t lo, std::int64_t hi) {
+  std::int64_t value = 0;
+  if (!wholeInt(token, value) || value < lo || value > hi) {
+    throw Error(flag + " must be an integer in [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + "], got '" + token + "'");
+  }
+  return value;
 }
 
 double parseDouble(const std::string& token, const std::string& what) {

@@ -22,6 +22,11 @@ std::vector<std::string> splitList(const std::string& csv);
 /// `what` names the option in the error message.
 std::int64_t parseInt(const std::string& token, const std::string& what);
 
+/// Strict integer parse of `flag`'s value, which must lie in [lo, hi].
+/// Throws pviz::Error naming the flag and the range.
+std::int64_t parseBounded(const std::string& token, const std::string& flag,
+                          std::int64_t lo, std::int64_t hi);
+
 /// Strict floating-point parse of the whole token.
 double parseDouble(const std::string& token, const std::string& what);
 

@@ -5,7 +5,7 @@
 // variable-sized output build on (count → scan → write).
 //
 // Every primitive takes an ExecutionContext: it dispatches chunks
-// through the context's exec::Backend (serial / threaded / vectorized —
+// through the context's exec::Backend (serial / threaded —
 // see util/backend.h) onto the context's pool and polls the context's
 // CancelToken at chunk boundaries, so a cancelled run unwinds at the
 // next chunk edge (the pool captures the CancelledError, drains the

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -48,14 +47,6 @@
 #include "util/parallel.h"
 
 namespace pviz::util {
-
-/// Observability counters for one parallelWorkSteal call.  Scheduling
-/// artifacts, NOT outputs: `steals` depends on timing and must never
-/// feed a determinism comparison.
-struct WorkStealStats {
-  std::int64_t batches = 0;  ///< ranges executed (schedule-invariant)
-  std::int64_t steals = 0;   ///< successful steal transactions (timing-dependent)
-};
 
 namespace detail {
 
@@ -81,13 +72,12 @@ struct StealDeque {
 /// seeded slot-contiguously (slot w owns an equal contiguous span of
 /// [0, count)), and body invocations for the same slot never overlap in
 /// time, so bodies may keep unsynchronized per-slot state.  Polls
-/// ctx.cancel() at batch boundaries.  Returns scheduling stats.
+/// ctx.cancel() at batch boundaries.
 template <typename Body>
-WorkStealStats parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
-                                 std::int64_t batch, Body&& body) {
+void parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
+                       std::int64_t batch, Body&& body) {
   PVIZ_REQUIRE(batch > 0, "parallelWorkSteal batch must be positive");
-  WorkStealStats stats;
-  if (count <= 0) return stats;
+  if (count <= 0) return;
 
   const std::int64_t slots =
       static_cast<std::int64_t>(std::max(1u, ctx.concurrency()));
@@ -105,14 +95,10 @@ WorkStealStats parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
     }
   }
 
-  std::atomic<std::int64_t> batchesRun{0};
-  std::atomic<std::int64_t> stealsDone{0};
   CancelToken* cancel = &ctx.cancel();
 
   auto runWorker = [&](std::int64_t self) {
     auto& own = deques[static_cast<std::size_t>(self)];
-    std::int64_t ran = 0;
-    std::int64_t stole = 0;
     for (;;) {
       detail::pollCancel(cancel);
       detail::StealRange next{0, 0};
@@ -144,7 +130,6 @@ WorkStealStats parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
           next = victim.ranges.back();
           victim.ranges.pop_back();
           have = true;
-          ++stole;
           for (std::int64_t t = 1; t < take; ++t) {
             loot.push_back(victim.ranges.back());
             victim.ranges.pop_back();
@@ -157,10 +142,7 @@ WorkStealStats parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
       }
       if (!have) break;  // every deque empty: done (bodies never enqueue)
       body(self, next.begin, next.end);
-      ++ran;
     }
-    batchesRun.fetch_add(ran, std::memory_order_relaxed);
-    stealsDone.fetch_add(stole, std::memory_order_relaxed);
   };
 
   // One dispatch index per slot, grain 1.  The backend may merge the
@@ -173,10 +155,6 @@ WorkStealStats parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
                              runWorker(w);
                            }
                          });
-
-  stats.batches = batchesRun.load(std::memory_order_relaxed);
-  stats.steals = stealsDone.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace pviz::util

@@ -254,71 +254,53 @@ ClipResult clipUniformGrid(util::ExecutionContext& ctx,
                                           static_cast<std::size_t>(numCells));
   std::optional<util::ExecutionContext::PhaseScope> phase;
   phase.emplace(ctx, "classify");
-  // Vectorized variant: eight unit-stride sign tests summed branch-free
-  // per cell into a cache-blocked staging row of doubles (counts 0..8
-  // are exact in double, and the ternary chain becomes SIMD selects);
-  // a second sweep narrows the staged counts to state bytes.  The
-  // staging keeps the hot loop all-double — mixing the byte store in
-  // directly defeats the vectorizer at the baseline ISA.  The counts
-  // match the scalar `if` loop exactly, so the state bytes — and
-  // everything compacted from them — are bit-identical.
-  const bool vectorize = ctx.backend().vectorized();
+  // Eight unit-stride sign tests are summed branch-free per cell into a
+  // cache-blocked staging row of doubles (counts 0..8 are exact in
+  // double, and the ternary chain becomes SIMD selects); a second sweep
+  // narrows the staged counts to state bytes.  The staging keeps the hot
+  // loop all-double — mixing the byte store in directly defeats the
+  // vectorizer at the baseline ISA.
   constexpr Id kClassifyBlock = 256;  // 2 KiB of staged counts: L1-resident
   util::parallelForChunks(
       ctx, 0, rows,
       [&](Id rowBegin, Id rowEnd) {
         for (Id row = rowBegin; row < rowEnd; ++row) {
-          Id cell = row * rowLen;
-          Id base = grid.cellRowFirstPointId(row);
-          if (vectorize) {
-            const double* clip =
-                clipScalar.data() + static_cast<std::size_t>(base);
-            const double* s0 = clip + corner[0];
-            const double* s1 = clip + corner[1];
-            const double* s2 = clip + corner[2];
-            const double* s3 = clip + corner[3];
-            const double* s4 = clip + corner[4];
-            const double* s5 = clip + corner[5];
-            const double* s6 = clip + corner[6];
-            const double* s7 = clip + corner[7];
-            std::uint8_t* stateRow =
-                state.data() + static_cast<std::size_t>(cell);
-            // Local trip count: the byte stores through stateRow may
-            // alias the by-reference capture of rowLen as far as the
-            // vectorizer can prove, which blocks the sweep.
-            const Id n = rowLen;
-            for (Id blockBegin = 0; blockBegin < n;
-                 blockBegin += kClassifyBlock) {
-              const Id blockEnd = std::min(n, blockBegin + kClassifyBlock);
-              double nKeep[kClassifyBlock];
-              for (Id i = blockBegin; i < blockEnd; ++i) {
-                nKeep[i - blockBegin] = (s0[i] >= 0.0 ? 1.0 : 0.0) +
-                                        (s1[i] >= 0.0 ? 1.0 : 0.0) +
-                                        (s2[i] >= 0.0 ? 1.0 : 0.0) +
-                                        (s3[i] >= 0.0 ? 1.0 : 0.0) +
-                                        (s4[i] >= 0.0 ? 1.0 : 0.0) +
-                                        (s5[i] >= 0.0 ? 1.0 : 0.0) +
-                                        (s6[i] >= 0.0 ? 1.0 : 0.0) +
-                                        (s7[i] >= 0.0 ? 1.0 : 0.0);
-              }
-              for (Id i = blockBegin; i < blockEnd; ++i) {
-                const double k = nKeep[i - blockBegin];
-                stateRow[i] = static_cast<std::uint8_t>(
-                    k == 8.0 ? 1 : (k == 0.0 ? 0 : 2));
-              }
+          const double* clip =
+              clipScalar.data() +
+              static_cast<std::size_t>(grid.cellRowFirstPointId(row));
+          const double* s0 = clip + corner[0];
+          const double* s1 = clip + corner[1];
+          const double* s2 = clip + corner[2];
+          const double* s3 = clip + corner[3];
+          const double* s4 = clip + corner[4];
+          const double* s5 = clip + corner[5];
+          const double* s6 = clip + corner[6];
+          const double* s7 = clip + corner[7];
+          std::uint8_t* stateRow =
+              state.data() + static_cast<std::size_t>(row * rowLen);
+          // Local trip count: the byte stores through stateRow may alias
+          // the by-reference capture of rowLen as far as the vectorizer
+          // can prove, which blocks the sweep.
+          const Id n = rowLen;
+          for (Id blockBegin = 0; blockBegin < n;
+               blockBegin += kClassifyBlock) {
+            const Id blockEnd = std::min(n, blockBegin + kClassifyBlock);
+            double nKeep[kClassifyBlock];
+            for (Id i = blockBegin; i < blockEnd; ++i) {
+              nKeep[i - blockBegin] = (s0[i] >= 0.0 ? 1.0 : 0.0) +
+                                      (s1[i] >= 0.0 ? 1.0 : 0.0) +
+                                      (s2[i] >= 0.0 ? 1.0 : 0.0) +
+                                      (s3[i] >= 0.0 ? 1.0 : 0.0) +
+                                      (s4[i] >= 0.0 ? 1.0 : 0.0) +
+                                      (s5[i] >= 0.0 ? 1.0 : 0.0) +
+                                      (s6[i] >= 0.0 ? 1.0 : 0.0) +
+                                      (s7[i] >= 0.0 ? 1.0 : 0.0);
             }
-            continue;
-          }
-          for (Id i = 0; i < rowLen; ++i, ++cell, ++base) {
-            int nKeep = 0;
-            for (int c = 0; c < 8; ++c) {
-              if (clipScalar[static_cast<std::size_t>(base + corner[c])] >=
-                  0.0) {
-                ++nKeep;
-              }
+            for (Id i = blockBegin; i < blockEnd; ++i) {
+              const double k = nKeep[i - blockBegin];
+              stateRow[i] =
+                  static_cast<std::uint8_t>(k == 8.0 ? 1 : (k == 0.0 ? 0 : 2));
             }
-            state[static_cast<std::size_t>(cell)] =
-                nKeep == 8 ? 1 : (nKeep == 0 ? 0 : 2);
           }
         }
       },

@@ -103,16 +103,10 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
     // block's triangles and crossed cells.  Cells are swept as i-rows
     // with incremental index stepping (no per-cell ijk decode).
     //
-    // Scalar variant: within a row the case is stepped from its
-    // predecessor — the shared face's four corners (bits 1,2,5,6)
-    // become bits 0,3,4,7, so only four corners are loaded per cell.
-    // Vectorized variant: that recycling is a loop-carried dependency, so
-    // instead each corner is a unit-stride byte stream at a fixed offset
-    // into above[] and the case is eight shifted ORs of the streams —
+    // Each corner is a unit-stride byte stream at a fixed offset into
+    // above[] and the case is eight shifted ORs of the streams —
     // branch-free and auto-vectorizable.  The table lookup (a gather)
-    // runs as its own loop so it cannot inhibit the case loop.  Both
-    // variants compute the same integers, so the output is bit-identical.
-    const bool vectorize = ctx.backend().vectorized();
+    // runs as its own loop so it cannot inhibit the case loop.
     util::parallelFor(ctx, 0, numPoints, [&](Id p) {
       above[static_cast<std::size_t>(p)] =
           values[static_cast<std::size_t>(p)] >= isovalue ? 1 : 0;
@@ -132,38 +126,18 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
             // the by-reference capture of rowLen as far as the vectorizer
             // can prove, which blocks the sweep.
             const Id n = rowLen;
-            if (vectorize) {
-              const std::uint8_t* s0 = abv + corner[0];
-              const std::uint8_t* s1 = abv + corner[1];
-              const std::uint8_t* s2 = abv + corner[2];
-              const std::uint8_t* s3 = abv + corner[3];
-              const std::uint8_t* s4 = abv + corner[4];
-              const std::uint8_t* s5 = abv + corner[5];
-              const std::uint8_t* s6 = abv + corner[6];
-              const std::uint8_t* s7 = abv + corner[7];
-              for (Id i = 0; i < n; ++i) {
-                caseRow[i] = static_cast<std::uint8_t>(
-                    s0[i] | (s1[i] << 1) | (s2[i] << 2) | (s3[i] << 3) |
-                    (s4[i] << 4) | (s5[i] << 5) | (s6[i] << 6) |
-                    (s7[i] << 7));
-              }
-            } else {
-              int caseIndex = 0;
-              for (Id i = 0; i < n; ++i) {
-                if (i == 0) {
-                  for (int c = 0; c < 8; ++c) caseIndex |= abv[corner[c]] << c;
-                } else {
-                  caseIndex = ((caseIndex >> 1) & 1) |
-                              (((caseIndex >> 2) & 1) << 3) |
-                              (((caseIndex >> 5) & 1) << 4) |
-                              (((caseIndex >> 6) & 1) << 7) |
-                              (abv[i + corner[1]] << 1) |
-                              (abv[i + corner[2]] << 2) |
-                              (abv[i + corner[5]] << 5) |
-                              (abv[i + corner[6]] << 6);
-                }
-                caseRow[i] = static_cast<std::uint8_t>(caseIndex);
-              }
+            const std::uint8_t* s0 = abv + corner[0];
+            const std::uint8_t* s1 = abv + corner[1];
+            const std::uint8_t* s2 = abv + corner[2];
+            const std::uint8_t* s3 = abv + corner[3];
+            const std::uint8_t* s4 = abv + corner[4];
+            const std::uint8_t* s5 = abv + corner[5];
+            const std::uint8_t* s6 = abv + corner[6];
+            const std::uint8_t* s7 = abv + corner[7];
+            for (Id i = 0; i < n; ++i) {
+              caseRow[i] = static_cast<std::uint8_t>(
+                  s0[i] | (s1[i] << 1) | (s2[i] << 2) | (s3[i] << 3) |
+                  (s4[i] << 4) | (s5[i] << 5) | (s6[i] << 6) | (s7[i] << 7));
             }
             for (Id i = 0; i < n; ++i) {
               const int count = tables.triangleCount[caseRow[i]];

@@ -33,7 +33,7 @@ struct Seg {
 };
 
 /// Per-slot segment allocator over the context arena.  Not thread-safe;
-/// the schedules guarantee one slot is never run by two workers at
+/// the work-stealing scheduler never runs one slot on two workers at
 /// once.  Slab acquisition goes through the (mutex-locked) arena, so
 /// distinct slots may allocate slabs concurrently.
 class SegmentPool {
@@ -107,7 +107,7 @@ struct ParticlePool {
 /// Integrate particle `p` until its step count reaches `untilStep`, it
 /// terminates, or (pathline) it crosses t = 1.  One RK4 step is the
 /// exact stage order and blend the filter has always used, shared
-/// verbatim by both schedules and both modes — which is the whole
+/// verbatim by both modes and every round split — which is the whole
 /// determinism argument: the schedule picks WHO runs this and WHEN,
 /// never what it computes.
 template <bool kPathline, typename Sampler>
@@ -169,7 +169,6 @@ struct RunParams {
   Id maxSteps;
   double h;
   std::uint64_t rngSeed;
-  ParticleAdvectionFilter::Schedule schedule;
   Id batchSize;
   Id roundSteps;
 };
@@ -214,63 +213,43 @@ ParticleAdvectionFilter::Result runImpl(util::ExecutionContext& ctx,
 
   {
     util::ExecutionContext::PhaseScope phase(ctx, "rk4-advect");
-    if (params.schedule == Filter::Schedule::StaticChunk) {
-      // Baseline schedule: one contiguous span per slot, every particle
-      // integrated to completion in place.  The slowest span runs alone
-      // at the end — exactly the imbalance work stealing removes.
-      const std::int64_t grain =
-          std::max<std::int64_t>(1, (n + slots - 1) / slots);
-      util::parallelForChunks(
-          ctx, 0, n,
-          [&](std::int64_t b, std::int64_t e) {
-            SegmentPool& segs = pools[static_cast<std::size_t>(b / grain)];
-            for (std::int64_t p = b; p < e; ++p) {
-              advanceParticle<kPathline>(sample, box, h, maxSteps, maxSteps,
-                                         particles, p, segs);
+    // Work-stealing rounds: every active particle advances at most
+    // roundSteps steps per round, then terminated lanes are compacted
+    // out so the next round's batches stay dense.
+    util::ScratchVector<std::int64_t> activeA(ctx.arena(),
+                                              static_cast<std::size_t>(n));
+    util::ScratchVector<std::int64_t> activeB(ctx.arena(),
+                                              static_cast<std::size_t>(n));
+    std::int64_t* active = activeA.data();
+    std::int64_t* spare = activeB.data();
+    util::parallelFor(ctx, 0, n, [&](std::int64_t i) { active[i] = i; });
+    std::int64_t activeCount = n;
+    std::int64_t round = 0;
+    while (activeCount > 0) {
+      const std::int64_t until =
+          std::min(maxSteps, (round + 1) * params.roundSteps);
+      util::parallelWorkSteal(
+          ctx, activeCount, params.batchSize,
+          [&](std::int64_t slot, std::int64_t b, std::int64_t e) {
+            SegmentPool& segs = pools[static_cast<std::size_t>(slot)];
+            for (std::int64_t i = b; i < e; ++i) {
+              advanceParticle<kPathline>(sample, box, h, maxSteps, until,
+                                         particles, active[i], segs);
             }
-          },
-          grain);
-    } else {
-      // Work-stealing rounds: every active particle advances at most
-      // roundSteps steps per round, then terminated lanes are compacted
-      // out so the next round's batches stay dense.
-      util::ScratchVector<std::int64_t> activeA(ctx.arena(),
-                                                static_cast<std::size_t>(n));
-      util::ScratchVector<std::int64_t> activeB(ctx.arena(),
-                                                static_cast<std::size_t>(n));
-      std::int64_t* active = activeA.data();
-      std::int64_t* spare = activeB.data();
-      util::parallelFor(ctx, 0, n, [&](std::int64_t i) { active[i] = i; });
-      std::int64_t activeCount = n;
-      std::int64_t round = 0;
-      while (activeCount > 0) {
-        const std::int64_t until =
-            std::min(maxSteps, (round + 1) * params.roundSteps);
-        const util::WorkStealStats stats = util::parallelWorkSteal(
-            ctx, activeCount, params.batchSize,
-            [&](std::int64_t slot, std::int64_t b, std::int64_t e) {
-              SegmentPool& segs = pools[static_cast<std::size_t>(slot)];
-              for (std::int64_t i = b; i < e; ++i) {
-                advanceParticle<kPathline>(sample, box, h, maxSteps, until,
-                                           particles, active[i], segs);
-              }
-            });
-        result.schedulerStats.batches += stats.batches;
-        result.schedulerStats.steals += stats.steals;
-        if (until >= maxSteps) break;  // every survivor just finished
-        const std::vector<std::int64_t> kept = util::parallelSelect(
-            ctx, activeCount, [&](std::int64_t i) {
-              return particles.status[static_cast<std::size_t>(active[i])] ==
-                     kActive;
-            });
-        const auto keptCount = static_cast<std::int64_t>(kept.size());
-        util::parallelFor(ctx, 0, keptCount, [&](std::int64_t i) {
-          spare[i] = active[kept[static_cast<std::size_t>(i)]];
-        });
-        std::swap(active, spare);
-        activeCount = keptCount;
-        ++round;
-      }
+          });
+      if (until >= maxSteps) break;  // every survivor just finished
+      const std::vector<std::int64_t> kept = util::parallelSelect(
+          ctx, activeCount, [&](std::int64_t i) {
+            return particles.status[static_cast<std::size_t>(active[i])] ==
+                   kActive;
+          });
+      const auto keptCount = static_cast<std::int64_t>(kept.size());
+      util::parallelFor(ctx, 0, keptCount, [&](std::int64_t i) {
+        spare[i] = active[kept[static_cast<std::size_t>(i)]];
+      });
+      std::swap(active, spare);
+      activeCount = keptCount;
+      ++round;
     }
   }
 
@@ -404,28 +383,16 @@ ParticleAdvectionFilter::Mode ParticleAdvectionFilter::parseMode(
                     "' (expected streamline|pathline)");
 }
 
-ParticleAdvectionFilter::Schedule ParticleAdvectionFilter::parseSchedule(
-    const std::string& token) {
-  if (token == "worksteal") return Schedule::WorkSteal;
-  if (token == "static") return Schedule::StaticChunk;
-  throw Error("unknown advection schedule '" + token +
-                    "' (expected worksteal|static)");
-}
-
 const char* ParticleAdvectionFilter::modeToken(Mode mode) {
   return mode == Mode::Streamline ? "streamline" : "pathline";
-}
-
-const char* ParticleAdvectionFilter::scheduleToken(Schedule schedule) {
-  return schedule == Schedule::WorkSteal ? "worksteal" : "static";
 }
 
 ParticleAdvectionFilter::Result ParticleAdvectionFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = requirePointVectorField(grid, fieldName);
-  const RunParams params{seeds_,    maxSteps_,  stepLength_, rngSeed_,
-                         schedule_, batchSize_, roundSteps_};
+  const RunParams params{seeds_,   maxSteps_,  stepLength_,
+                         rngSeed_, batchSize_, roundSteps_};
   return runImpl<false>(ctx, grid, StreamlineSampler{grid, field},
                         field.sizeBytes(), params);
 }
@@ -435,8 +402,8 @@ ParticleAdvectionFilter::Result ParticleAdvectionFilter::run(
     const std::string& beginField, const std::string& endField) const {
   const Field& fb = requirePointVectorField(grid, beginField);
   const Field& fe = requirePointVectorField(grid, endField);
-  const RunParams params{seeds_,    maxSteps_,  stepLength_, rngSeed_,
-                         schedule_, batchSize_, roundSteps_};
+  const RunParams params{seeds_,   maxSteps_,  stepLength_,
+                         rngSeed_, batchSize_, roundSteps_};
   return runImpl<true>(ctx, grid, PathlineSampler{grid, fb, fe},
                        fb.sizeBytes() + fe.sizeBytes(), params);
 }

@@ -30,66 +30,52 @@ ThresholdFilter::Result ThresholdFilter::run(
     const auto corner = grid.cellCornerOffsets();
     const Id rowGrain =
         std::max<Id>(1, util::kDefaultGrain / std::max<Id>(Id{1}, rowLen));
-    // Vectorized variant: the eight corner reads become eight unit-stride
-    // double streams at fixed offsets into the point field, summed in the
-    // same c0..c7 order as the scalar loop (identical FP association →
-    // bit-identical averages), and the keep flag is a branch-free
-    // compare-and-mask — one fused multiply-free SIMD sweep per row.
-    const bool vectorize = ctx.backend().vectorized();
+    // The eight corner reads are eight unit-stride double streams at
+    // fixed offsets into the point field, summed in c0..c7 order, and
+    // the keep flag is a branch-free compare-and-mask: one SIMD sweep
+    // per row.
     const double lo = lo_;
     const double hi = hi_;
     util::parallelForChunks(
         ctx, 0, rows,
         [&](Id rowBegin, Id rowEnd) {
           for (Id row = rowBegin; row < rowEnd; ++row) {
-            Id cell = row * rowLen;
-            Id base = grid.cellRowFirstPointId(row);
-            if (vectorize) {
-              const double* vals = values.data() + static_cast<std::size_t>(base);
-              const double* s0 = vals + corner[0];
-              const double* s1 = vals + corner[1];
-              const double* s2 = vals + corner[2];
-              const double* s3 = vals + corner[3];
-              const double* s4 = vals + corner[4];
-              const double* s5 = vals + corner[5];
-              const double* s6 = vals + corner[6];
-              const double* s7 = vals + corner[7];
-              double* valueRow = cellValue.data() + static_cast<std::size_t>(cell);
-              std::uint8_t* keepRow = keep.data() + static_cast<std::size_t>(cell);
-              // Local trip count: the byte stores through keepRow may
-              // alias the by-reference capture of rowLen as far as the
-              // vectorizer can prove, which blocks the sweep.
-              const Id n = rowLen;
-              // Two sweeps, not one: mixing the 8-byte value store with
-              // the 1-byte flag store defeats the vectorizer at the
-              // baseline ISA (no single-width vector covers both), while
-              // the pure-double sweep vectorizes cleanly.
-              for (Id i = 0; i < n; ++i) {
-                // Same left-to-right association (and 0.0 seed) as the
-                // scalar loop, so the average is bit-identical even for
-                // signed zeros.
-                const double sum = ((((((((0.0 + s0[i]) + s1[i]) + s2[i]) +
-                                        s3[i]) + s4[i]) + s5[i]) + s6[i]) +
-                                    s7[i]);
-                valueRow[i] = sum / 8.0;
-              }
-              for (Id i = 0; i < n; ++i) {
-                // `&` (not `&&`): the short-circuit branch would block
-                // auto-vectorization where the ISA can narrow to bytes.
-                keepRow[i] = static_cast<std::uint8_t>((valueRow[i] >= lo) &
-                                                       (valueRow[i] <= hi));
-              }
-              continue;
+            const std::size_t cell = static_cast<std::size_t>(row * rowLen);
+            const double* vals =
+                values.data() +
+                static_cast<std::size_t>(grid.cellRowFirstPointId(row));
+            const double* s0 = vals + corner[0];
+            const double* s1 = vals + corner[1];
+            const double* s2 = vals + corner[2];
+            const double* s3 = vals + corner[3];
+            const double* s4 = vals + corner[4];
+            const double* s5 = vals + corner[5];
+            const double* s6 = vals + corner[6];
+            const double* s7 = vals + corner[7];
+            double* valueRow = cellValue.data() + cell;
+            std::uint8_t* keepRow = keep.data() + cell;
+            // Local trip count: the byte stores through keepRow may
+            // alias the by-reference capture of rowLen as far as the
+            // vectorizer can prove, which blocks the sweep.
+            const Id n = rowLen;
+            // Two sweeps, not one: mixing the 8-byte value store with
+            // the 1-byte flag store defeats the vectorizer at the
+            // baseline ISA (no single-width vector covers both), while
+            // the pure-double sweep vectorizes cleanly.
+            for (Id i = 0; i < n; ++i) {
+              // Left-to-right association from a 0.0 seed, so the
+              // average is the same double as a c0..c7 loop's, signed
+              // zeros included.
+              const double sum = ((((((((0.0 + s0[i]) + s1[i]) + s2[i]) +
+                                      s3[i]) + s4[i]) + s5[i]) + s6[i]) +
+                                  s7[i]);
+              valueRow[i] = sum / 8.0;
             }
-            for (Id i = 0; i < rowLen; ++i, ++cell, ++base) {
-              double sum = 0.0;
-              for (int c = 0; c < 8; ++c) {
-                sum += values[static_cast<std::size_t>(base + corner[c])];
-              }
-              const double v = sum / 8.0;
-              cellValue[static_cast<std::size_t>(cell)] = v;
-              keep[static_cast<std::size_t>(cell)] =
-                  (v >= lo_ && v <= hi_) ? 1 : 0;
+            for (Id i = 0; i < n; ++i) {
+              // `&` (not `&&`): the short-circuit branch would block
+              // auto-vectorization where the ISA can narrow to bytes.
+              keepRow[i] = static_cast<std::uint8_t>((valueRow[i] >= lo) &
+                                                     (valueRow[i] <= hi));
             }
           }
         },

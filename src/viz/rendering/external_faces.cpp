@@ -49,13 +49,10 @@ ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
   offsets[static_cast<std::size_t>(numCells)] = 0;
   std::optional<util::ExecutionContext::PhaseScope> phase;
   phase.emplace(ctx, "face-classify");
-  // Vectorized variant: along a row only the two end cells differ from
-  // the row constant, so instead of per-cell `i == 0` / `i == rowLen-1`
-  // branches the whole row is filled with the constant mask/popcount
-  // (two branch-free constant-fill loops the compiler turns into SIMD
-  // stores) and the two ±i end cells are patched afterwards.  Same
-  // masks, same counts — bit-identical to the scalar sweep.
-  const bool vectorize = ctx.backend().vectorized();
+  // Along a row only the two end cells differ from the row constant, so
+  // the whole row is filled with the constant mask/popcount (two
+  // branch-free constant-fill loops the compiler turns into SIMD stores)
+  // and the two ±i end cells are patched afterwards.
   util::parallelForChunks(
       ctx, 0, rows,
       [&](Id rowBegin, Id rowEnd) {
@@ -66,36 +63,22 @@ ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
           if (r.j == cd.j - 1) rowBits |= 1u << 3;   // +j
           if (r.k == 0) rowBits |= 1u << 4;          // -k
           if (r.k == cd.k - 1) rowBits |= 1u << 5;   // +k
-          Id cell = row * rowLen;
-          if (vectorize) {
-            std::uint8_t* maskRow =
-                faceMask.data() + static_cast<std::size_t>(cell);
-            std::int64_t* countRow =
-                offsets.data() + static_cast<std::size_t>(cell);
-            const std::int64_t rowCount =
-                std::popcount(static_cast<unsigned>(rowBits));
-            // Local trip count: the byte stores through maskRow may
-            // alias the by-reference capture of rowLen as far as the
-            // vectorizer can prove, which blocks both fills.
-            const Id n = rowLen;
-            for (Id i = 0; i < n; ++i) maskRow[i] = rowBits;
-            for (Id i = 0; i < n; ++i) countRow[i] = rowCount;
-            maskRow[0] |= 1u << 0;                    // -i
-            maskRow[rowLen - 1] |= 1u << 1;           // +i
-            countRow[0] =
-                std::popcount(static_cast<unsigned>(maskRow[0]));
-            countRow[rowLen - 1] =
-                std::popcount(static_cast<unsigned>(maskRow[rowLen - 1]));
-            continue;
-          }
-          for (Id i = 0; i < rowLen; ++i, ++cell) {
-            std::uint8_t mask = rowBits;
-            if (i == 0) mask |= 1u << 0;             // -i
-            if (i == rowLen - 1) mask |= 1u << 1;    // +i
-            faceMask[static_cast<std::size_t>(cell)] = mask;
-            offsets[static_cast<std::size_t>(cell)] =
-                std::popcount(static_cast<unsigned>(mask));
-          }
+          const std::size_t cell = static_cast<std::size_t>(row * rowLen);
+          std::uint8_t* maskRow = faceMask.data() + cell;
+          std::int64_t* countRow = offsets.data() + cell;
+          const std::int64_t rowCount =
+              std::popcount(static_cast<unsigned>(rowBits));
+          // Local trip count: the byte stores through maskRow may alias
+          // the by-reference capture of rowLen as far as the vectorizer
+          // can prove, which blocks both fills.
+          const Id n = rowLen;
+          for (Id i = 0; i < n; ++i) maskRow[i] = rowBits;
+          for (Id i = 0; i < n; ++i) countRow[i] = rowCount;
+          maskRow[0] |= 1u << 0;       // -i
+          maskRow[n - 1] |= 1u << 1;   // +i
+          countRow[0] = std::popcount(static_cast<unsigned>(maskRow[0]));
+          countRow[n - 1] =
+              std::popcount(static_cast<unsigned>(maskRow[n - 1]));
         }
       },
       rowGrain);

@@ -1,6 +1,10 @@
 // Isovolume filter tests.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "clip_reference.h"
 #include "util/exec_context.h"
 #include "viz/filters/isovolume.h"
@@ -201,6 +205,37 @@ TEST(Isovolume, TetSoupConnectivityIsIdentity) {
   ASSERT_GT(result.lowClipTets, 0);
   ASSERT_GT(result.cutPieces.numTets(), result.lowClipTets);
   clipref::expectIdentityConnectivity(result.cutPieces);
+}
+
+// Geometric invariant: the isovolume of a band contains that of every
+// band nested inside it, so the kept volume (whole cells plus tets)
+// never shrinks as the band widens, and a band covering the field's
+// whole range keeps the whole domain.
+TEST(Isovolume, VolumeIsMonotoneInTheBand) {
+  const UniformGrid g = clipref::wavyGrid(12);
+  // Each band contains the one before; "w" lies in [-1.5, 1.5].
+  const std::vector<std::pair<double, double>> bands = {
+      {0.1, 0.2},   {0.0, 0.2},   {0.0, 0.45}, {-0.3, 0.45},
+      {-0.3, 0.9},  {-0.8, 0.9},  {-0.8, 1.3}, {-1.6, 1.6}};
+  for (const clipref::ExecConfig& config : clipref::execConfigs()) {
+    SCOPED_TRACE(config.label());
+    util::ThreadPool pool(config.workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(*config.backend);
+    double previous = 0.0;
+    for (const auto& [lo, hi] : bands) {
+      SCOPED_TRACE("band [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+      IsovolumeFilter filter;
+      filter.setRange(lo, hi);
+      const double volume = filter.run(ctx, g, "w").totalVolume(g);
+      // Whole cells and their tet pieces sum in different orders, so
+      // equal regions may differ in the last bits.
+      EXPECT_GE(volume, previous - 1e-12);
+      previous = volume;
+    }
+    EXPECT_NEAR(previous, 1.0, 1e-9);
+  }
 }
 
 // Property: band volume equals band width for any sub-interval of the

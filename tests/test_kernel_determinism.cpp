@@ -3,13 +3,13 @@
 //
 // The two-pass (classify → scan → generate) rewrite of the filters must
 // produce byte-identical meshes and images for every execution
-// configuration — all three exec backends (serial / threaded /
-// vectorized) × thread-pool sizes 1, 2, and the hardware default: the
-// compaction lists are in ascending cell order, variable-size output is
-// written at scanned offsets, the exclusive scan is exact integer
-// arithmetic, and the vectorized inner-loop variants preserve integer
-// results and floating-point association exactly.  Every configuration is compared
-// byte-for-byte against the serial backend on a one-thread pool.
+// configuration — both exec backends (serial / threaded) × thread-pool
+// sizes 1, 2, and the hardware default: the compaction lists are in
+// ascending cell order, variable-size output is written at scanned
+// offsets, and the exclusive scan is exact integer arithmetic.  Every
+// configuration is compared byte-for-byte against the serial backend on
+// a one-thread pool.  (The SoA row sweeps are checked against
+// independent cell-by-cell references in the per-filter suites.)
 // The scan/compaction primitives themselves are exercised on their edge
 // cases (empty, single element, all zeros, totals past 2^31) against a
 // serial reference.
@@ -80,8 +80,7 @@ std::vector<ExecConfig> execConfigs() {
   std::vector<ExecConfig> out;
   for (unsigned workers : poolSizes()) {
     for (const exec::Backend* backend :
-         {&exec::serialBackend(), &exec::threadedBackend(),
-          &exec::vectorizedBackend()}) {
+         {&exec::serialBackend(), &exec::threadedBackend()}) {
       out.push_back({workers, backend});
     }
   }
@@ -468,8 +467,7 @@ TEST(KernelDeterminism, PoisonedArenaMatchesFreshContext) {
   constexpr std::size_t kLargestClass = std::size_t{1} << 20;
   constexpr int kBlocksPerClass = 16;
   for (const exec::Backend* backend :
-       {&exec::serialBackend(), &exec::threadedBackend(),
-        &exec::vectorizedBackend()}) {
+       {&exec::serialBackend(), &exec::threadedBackend()}) {
     SCOPED_TRACE(backend->token());
     AllFilterOutputs fresh;
     AllFilterOutputs poisoned;
@@ -509,9 +507,8 @@ TEST(KernelDeterminism, PoisonedArenaMatchesFreshContext) {
 
 TEST(KernelDeterminism, DegenerateOneByOneByNGrid) {
   // A 1×1×N column of cells: every row has length 1, which exercises the
-  // first-cell path of the incremental classify on every cell — and the
-  // end-cell patch-up of the vectorized row fills, where both row ends
-  // are the same cell.
+  // end-cell patch-up of the row fills, where both row ends are the same
+  // cell.
   const UniformGrid g = fieldGrid({2, 2, 65}, [](const Vec3& p) {
     return p.z - 31.5;
   });
@@ -530,7 +527,7 @@ TEST(KernelDeterminism, DegenerateOneByOneByNGrid) {
 
 TEST(KernelDeterminism, DegenerateGridEveryFilterEveryConfig) {
   // The 1×1×N column through threshold, external faces, and clip — all
-  // the row-swept kernels with vectorized variants, at rowLen == 1.
+  // the row-swept kernels, at rowLen == 1.
   const UniformGrid g = fieldGrid({2, 2, 65}, [](const Vec3& p) {
     return p.z - 31.5;
   });
@@ -624,33 +621,32 @@ TEST(KernelDeterminism, AdvectionStreamlineAcrossConfigs) {
   }
 }
 
-TEST(KernelDeterminism, AdvectionScheduleAndBatchInvariant) {
-  // Static chunking, work stealing, and any batch/round granularity
-  // must agree bit-for-bit: the per-particle integration is shared, the
-  // knobs only re-cut who runs what.
+TEST(KernelDeterminism, AdvectionBatchAndRoundInvariant) {
+  // Any batch/round granularity must agree bit-for-bit: the
+  // per-particle integration is shared, the knobs only re-cut who runs
+  // what.  A round of at least maxSteps integrates every particle to
+  // completion in one pass with no compaction; with batch 86 each of the
+  // 3 slots also owns exactly one contiguous range, the static
+  // one-span-per-worker split.
   const UniformGrid g = sim::makeCloverField(16);
-  auto run = [&](ParticleAdvectionFilter::Schedule schedule, Id batch,
-                 Id roundSteps) {
+  constexpr Id kMaxSteps = 90;
+  auto run = [&](Id batch, Id roundSteps) {
     return withPool(3, [&](util::ExecutionContext& ctx) {
       ParticleAdvectionFilter filter;
       filter.setSeedCount(257);
-      filter.setMaxSteps(90);
+      filter.setMaxSteps(kMaxSteps);
       filter.setStepLength(0.01);
-      filter.setSchedule(schedule);
       filter.setBatchSize(batch);
       filter.setRoundSteps(roundSteps);
       return filter.run(ctx, g, "velocity").streamlines;
     });
   };
-  const PolylineSet reference =
-      run(ParticleAdvectionFilter::Schedule::WorkSteal, 256, 64);
+  const PolylineSet reference = run(256, 64);
   EXPECT_GT(reference.numLines(), 0);
-  expectIdentical(run(ParticleAdvectionFilter::Schedule::StaticChunk, 256, 64),
-                  reference);
-  expectIdentical(run(ParticleAdvectionFilter::Schedule::WorkSteal, 7, 5),
-                  reference);
-  expectIdentical(run(ParticleAdvectionFilter::Schedule::WorkSteal, 1, 1),
-                  reference);
+  expectIdentical(run(86, kMaxSteps), reference);
+  expectIdentical(run(256, 10 * kMaxSteps), reference);
+  expectIdentical(run(7, 5), reference);
+  expectIdentical(run(1, 1), reference);
 }
 
 TEST(KernelDeterminism, AdvectionPathlineAcrossConfigs) {

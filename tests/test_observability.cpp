@@ -642,8 +642,9 @@ TEST(ServiceMetrics, StatsReplyIsPinned) {
             R"("p95_latency_ms":40,"p99_latency_ms":40},)"
             R"("classify":{"requests":2,"errors":0,"cache_hits":1,)"
             R"("mean_latency_ms":0.875,"max_latency_ms":1.5,)"
-            R"("p50_latency_ms":0.25600000000000001,)"
-            R"("p95_latency_ms":0.31359999999999999,"p99_latency_ms":0.31872},)"
+            R"("p50_latency_ms":0.84599999999999997,)"
+            R"("p95_latency_ms":1.4345999999999999,)"
+            R"("p99_latency_ms":1.4869199999999998},)"
             R"("stats":{"requests":1,"errors":0,"cache_hits":0,)"
             R"("mean_latency_ms":0.125,"max_latency_ms":0.125,)"
             R"("p50_latency_ms":0.096000000000000002,)"

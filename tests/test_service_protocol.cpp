@@ -120,7 +120,6 @@ void expectRequestRoundTrip(const Request& request) {
   EXPECT_EQ(parsed.advectSeeds, request.advectSeeds);
   EXPECT_EQ(parsed.advectSteps, request.advectSteps);
   EXPECT_EQ(parsed.advectMode, request.advectMode);
-  EXPECT_EQ(parsed.advectSchedule, request.advectSchedule);
   EXPECT_EQ(parsed.blocks, request.blocks);
   EXPECT_EQ(parsed.ghost, request.ghost);
 }
@@ -184,14 +183,14 @@ TEST(Protocol, BackendFieldRoundTrip) {
   request.op = Op::Classify;
   request.algorithm = core::Algorithm::Contour;
   request.size = 64;
-  request.backend = "vectorized";
+  request.backend = "threaded";
   expectRequestRoundTrip(request);
   // Empty backend (the default) is omitted from the wire form entirely.
   Request plain;
   plain.op = Op::Ping;
   EXPECT_EQ(toJson(plain).find("backend"), nullptr);
   // The backend never reaches the cache key: every backend is
-  // bit-identical, so serial and vectorized must share a cache entry.
+  // bit-identical, so serial and threaded must share a cache entry.
   Request other = request;
   other.backend = "serial";
   EXPECT_EQ(canonicalCacheKey(request), canonicalCacheKey(other));
@@ -205,7 +204,6 @@ TEST(Protocol, AdvectOverridesRoundTrip) {
   request.advectSeeds = 5000;
   request.advectSteps = 250;
   request.advectMode = "pathline";
-  request.advectSchedule = "static";
   expectRequestRoundTrip(request);
   // Unset overrides (the defaults) stay off the wire entirely.
   Request plain;
@@ -221,14 +219,29 @@ TEST(Protocol, AdvectOverridesRoundTrip) {
           R"({"op":"characterize","algorithm":"advection","size":64,)"
           R"("advect_mode":"sideways"})")),
       Error);
-  EXPECT_THROW(
-      requestFromJson(Json::parse(
-          R"({"op":"characterize","algorithm":"advection","size":64,)"
-          R"("advect_schedule":"greedy"})")),
-      Error);
 }
 
-TEST(Protocol, CacheKeyCoversAdvectOverridesButNotSchedule) {
+TEST(Protocol, UnknownKeysAreIgnored) {
+  // A key the protocol does not know (a retired option, or one from a
+  // newer client) parses to the request without it, on any algorithm,
+  // so the engine, the cache key and the reply are the same.
+  for (const char* algorithm : {"advection", "contour"}) {
+    const std::string head =
+        std::string(R"({"op":"classify","algorithm":")") + algorithm +
+        R"(","size":16)";
+    const Request plain = requestFromJson(Json::parse(head + "}"));
+    for (const char* extra : {R"("advect_batch":"static")",
+                              R"("schedule":"greedy")", R"("x":[1,{}])"}) {
+      SCOPED_TRACE(std::string(algorithm) + " " + extra);
+      const Request parsed =
+          requestFromJson(Json::parse(head + "," + extra + "}"));
+      EXPECT_EQ(toJson(parsed).dump(), toJson(plain).dump());
+      EXPECT_EQ(canonicalCacheKey(parsed), canonicalCacheKey(plain));
+    }
+  }
+}
+
+TEST(Protocol, CacheKeyCoversAdvectOverrides) {
   Request a;
   a.op = Op::Characterize;
   a.algorithm = core::Algorithm::ParticleAdvection;
@@ -243,11 +256,6 @@ TEST(Protocol, CacheKeyCoversAdvectOverridesButNotSchedule) {
   b = a;
   b.advectMode = "pathline";
   EXPECT_NE(canonicalCacheKey(a), canonicalCacheKey(b));
-  // The schedule is bit-identical by contract — like the backend, it
-  // must share the cache entry.
-  b = a;
-  b.advectSchedule = "static";
-  EXPECT_EQ(canonicalCacheKey(a), canonicalCacheKey(b));
 }
 
 TEST(Protocol, BlockOverridesRoundTrip) {
@@ -439,8 +447,7 @@ TEST(Protocol, ReplyIntegersAreRangeChecked) {
 
 TEST(Protocol, AdvectOverridesNeedTheAdvectionAlgorithm) {
   for (const char* field : {R"("advect_seeds":100)", R"("advect_steps":100)",
-                            R"("advect_mode":"pathline")",
-                            R"("advect_schedule":"static")"}) {
+                            R"("advect_mode":"pathline")"}) {
     const std::string body = std::string(",") + field + "}";
     EXPECT_THROW(requestFromJson(Json::parse(
                      R"({"op":"classify","algorithm":"contour","size":16)" +
@@ -479,10 +486,18 @@ TEST(Protocol, MalformedRequestsThrow) {
   EXPECT_THROW(requestFromJson(Json::parse(
                    R"({"op":"budget","algorithm":"contour","size":32})")),
                Error);
-  // Unknown backend.
+  // Unknown backend, including the retired "vectorized".
   EXPECT_THROW(requestFromJson(Json::parse(
                    R"({"op":"ping","backend":"quantum"})")),
                Error);
+  try {
+    requestFromJson(Json::parse(R"({"op":"ping","backend":"vectorized"})"));
+    ADD_FAILURE() << "accepted backend vectorized";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown backend 'vectorized'"),
+              std::string::npos)
+        << e.what();
+  }
   // Not an object at all.
   EXPECT_THROW(requestFromJson(Json::parse("[1,2,3]")), Error);
 }

@@ -74,10 +74,6 @@ TEST(Study, OverrideCharacterizationsShareTheMemo) {
   EXPECT_NE(&a, &configured);
   EXPECT_EQ(&study.characterize(ctx, Algorithm::ParticleAdvection, 8, more),
             &a);
-  // A schedule-only override is the same work.
-  more.advectionSchedule = "static";
-  EXPECT_EQ(&study.characterize(ctx, Algorithm::ParticleAdvection, 8, more),
-            &a);
 }
 
 TEST(Study, CapSweepRatiosAreBaselinedAtTheDefaultCap) {
@@ -264,11 +260,6 @@ TEST(ProfileCache, KeyForksOnEveryProfileField) {
     EXPECT_NE(forked, key) << field;
     EXPECT_TRUE(keys.insert(forked).second) << field << " collides";
   }
-  // The schedule is bit-identical by contract: every schedule maps to
-  // the same profile, so it must not fork the key.
-  AlgorithmParams schedule = base;
-  schedule.advectionSchedule = "static";
-  EXPECT_EQ(workKey(Algorithm::Contour, 64, schedule), key);
 }
 
 TEST(ProfileCache, ThresholdBandIsNotServedAStaleProfile) {

@@ -3,13 +3,17 @@
 // and the exposition linter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "telemetry/metric_registry.h"
 #include "telemetry/prometheus.h"
 #include "util/error.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -122,6 +126,67 @@ TEST(Histogram, PercentileOrdersAcrossBuckets) {
   EXPECT_LT(p50, 2.048);   // inside the 1.0 bucket
   EXPECT_GT(p99, 500.0);   // inside the 1000.0 bucket
   EXPECT_LE(p99, 1000.0);  // clamped to the recorded max
+}
+
+// Property against the exact percentile of the recorded samples: the
+// estimate lies between the lower bound of the bucket holding the
+// floor-rank sample and the upper bound of the bucket holding the
+// ceil-rank sample, as util::percentile's value does.
+TEST(Histogram, PercentileBracketsTheExactRanks) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> exponent(-4.0, 4.0);
+  std::uniform_int_distribution<int> sizes(1, 60);
+  const auto lowerBound = [](double v) {
+    const int b = Histogram::bucketIndex(v);
+    return b == 0 ? 0.0 : Histogram::bucketUpperBound(b - 1);
+  };
+  const auto upperBound = [](double v) {
+    const int b = Histogram::bucketIndex(v);
+    return b == Histogram::kBucketCount
+               ? std::numeric_limits<double>::infinity()
+               : Histogram::bucketUpperBound(b);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    MetricRegistry registry;
+    Histogram& h = registry.histogram("h_ms");
+    std::vector<double> samples(static_cast<std::size_t>(sizes(rng)));
+    for (double& v : samples) {
+      v = std::pow(10.0, exponent(rng));
+      h.record(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    const Histogram::Snapshot snap = h.snapshot();
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " q=" +
+                   std::to_string(q));
+      const double pos = q * static_cast<double>(samples.size() - 1);
+      const auto floorRank = static_cast<std::size_t>(pos);
+      const std::size_t ceilRank =
+          std::min(floorRank + 1, samples.size() - 1);
+      const double lo = lowerBound(samples[floorRank]);
+      const double hi = upperBound(samples[ceilRank]);
+      const double exact = util::percentile(samples, q);
+      ASSERT_GE(exact, lo);
+      ASSERT_LE(exact, hi);
+      const double estimate = snap.percentile(q);
+      EXPECT_GE(estimate, lo);
+      EXPECT_LE(estimate, hi);
+      EXPECT_LE(estimate, snap.maxValue);
+    }
+  }
+}
+
+TEST(Histogram, TailPercentileReachesTheSlowSample) {
+  // Two samples in buckets far apart: p95 and p99 interpolate toward the
+  // slow one, as the exact percentile does (1.4375 and 1.4875 here).
+  MetricRegistry registry;
+  Histogram& h = registry.histogram("h_ms");
+  h.record(0.25);
+  h.record(1.5);
+  const Histogram::Snapshot snap = h.snapshot();
+  EXPECT_GT(snap.percentile(0.95), 1.024);
+  EXPECT_GT(snap.percentile(0.99), snap.percentile(0.95));
+  EXPECT_LE(snap.percentile(0.99), 1.5);
 }
 
 // The determinism claim the DESIGN makes: a snapshot of the same

@@ -28,6 +28,27 @@ TEST(ParseInt, StrictWholeToken) {
   EXPECT_THROW(util::parseInt("99999999999999999999999", "x"), Error);
 }
 
+TEST(ParseBounded, AcceptsTheClosedRange) {
+  EXPECT_EQ(util::parseBounded("1", "--cycles", 1, 1000), 1);
+  EXPECT_EQ(util::parseBounded("1000", "--cycles", 1, 1000), 1000);
+  EXPECT_EQ(util::parseBounded("-3", "--x", -3, -3), -3);
+}
+
+TEST(ParseBounded, RejectsWithTheFlagAndTheRange) {
+  for (const char* token :
+       {"0", "1001", "5000", "-1", "", "12x", "1.5", "99999999999999999999"}) {
+    SCOPED_TRACE(token);
+    try {
+      util::parseBounded(token, "--cycles", 1, 1000);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--cycles must be an integer in [1, 1000], got '") +
+                    token + "'");
+    }
+  }
+}
+
 TEST(ParseDouble, StrictWholeToken) {
   EXPECT_DOUBLE_EQ(util::parseDouble("2.5", "x"), 2.5);
   EXPECT_DOUBLE_EQ(util::parseDouble("-1e3", "x"), -1000.0);

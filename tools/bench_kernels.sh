@@ -120,9 +120,8 @@ doc["speedup"] = {
 }
 
 # Per-backend columns: fold BM_<Kernel>Backend/<backend>/<size> rows into
-# one table row per (kernel, size), with the vectorized speedup measured
-# against `threaded` (the default backend; on a 1-core host threaded and
-# serial coincide, so this is the honest scalar baseline).
+# one table row per (kernel, size).  Both backends run the same inner
+# loops, so serial vs threaded is the dispatch's parallel speedup.
 backends = {}
 for name, ms in cur.items():
     parts = name.split("/")
@@ -130,22 +129,15 @@ for name, ms in cur.items():
         kernel = parts[0][len("BM_") : -len("Backend")]
         row = backends.setdefault(f"{kernel}/{parts[2]}", {})
         row[parts[1]] = ms
-for row in backends.values():
-    if row.get("vectorized") and row.get("threaded"):
-        row["vectorized_speedup"] = round(row["threaded"] / row["vectorized"], 3)
 if backends:
     doc["backends"] = {
         "time_unit": "ms",
-        "speedup_baseline": "threaded",
         "kernels": dict(sorted(backends.items())),
     }
 
 # Flow table: BM_AdvectFlow/<column>/<particles> rows fold into one row
-# per particle count — the legacy/static/worksteal milliseconds, the
-# work-steal RK4 step rate, the schedule speedup (static over worksteal)
-# and the pipeline speedup (legacy over worksteal).  On a single-core
-# host the two schedule columns coincide by construction; the schedule
-# speedup only separates from 1.0 with workers to steal between.
+# per particle count — the legacy/worksteal milliseconds, the work-steal
+# RK4 step rate and the pipeline speedup (legacy over worksteal).
 flow = {}
 for name, ms in cur.items():
     parts = name.split("/")
@@ -156,27 +148,17 @@ for name, ms in cur.items():
         if rate is not None:
             row[f"{parts[1]}_steps_per_sec"] = round(rate)
 for row in flow.values():
-    if row.get("worksteal_ms"):
-        if row.get("static_ms"):
-            row["worksteal_vs_static"] = round(
-                row["static_ms"] / row["worksteal_ms"], 3)
-        if row.get("legacy_ms"):
-            row["pipeline_speedup"] = round(
-                row["legacy_ms"] / row["worksteal_ms"], 3)
+    if row.get("worksteal_ms") and row.get("legacy_ms"):
+        row["pipeline_speedup"] = round(row["legacy_ms"] / row["worksteal_ms"], 3)
 if flow:
     doc["flow"] = {
         "time_unit": "ms",
         "field": "vortex-trap (early-termination-heavy)",
-        # Schedule comparisons are only meaningful relative to the core
-        # count they ran on; record it next to the numbers.
+        # Flow rates are only meaningful relative to the core count
+        # they ran on; record it next to the numbers.
         "host_cpus": ctx.get("num_cpus"),
         "particles": {str(k): flow[k] for k in sorted(flow)},
     }
-    if ctx.get("num_cpus") == 1:
-        doc["flow"]["note"] = (
-            "single-core host: static and worksteal coincide by "
-            "construction, so worksteal_vs_static ~ 1.0 carries no "
-            "scheduling signal")
 
 # Blocks table: BM_ContourBlocks/<blocks>/<size> rows fold into one row
 # per (blocks, size) — the wall-clock milliseconds for the full

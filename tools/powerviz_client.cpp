@@ -50,8 +50,6 @@ advection overrides (single-kernel ops with --algorithm advection):
                             config)
   --advect-steps N          max integration steps, 1..10000000
   --advect-mode M           streamline | pathline
-  --advect-schedule S       worksteal | static (bit-identical output;
-                            never part of the result-cache key)
 
 multi-block overrides (any kernel-running op):
   --blocks N                k-slab block count, 1..4096 (default: server
@@ -82,7 +80,7 @@ tracing / telemetry:
                             of this request (response `trace` field)
   --trace-out PATH          write that dump to PATH (Perfetto-loadable)
   --backend NAME            execution backend for this request on the
-                            server: serial | threaded | vectorized
+                            server: serial | threaded
                             (default: the server's own default; never
                             part of the result-cache key — backends are
                             bit-identical)
@@ -91,20 +89,6 @@ algorithms: contour threshold clip isovolume slice advection raytracing
 volume (or "all")
 )";
   std::exit(exitCode);
-}
-
-// Range-checked integer flag: rejects typos (zero, negatives, absurd
-// magnitudes) at parse time with the offending flag named, instead of
-// shipping them to the server.
-std::int64_t parseBounded(const std::string& value, const char* flag,
-                          std::int64_t lo, std::int64_t hi) {
-  const std::int64_t parsed = util::parseInt(value, flag);
-  if (parsed < lo || parsed > hi) {
-    std::cerr << flag << " must be in [" << lo << ", " << hi << "], got "
-              << parsed << '\n';
-    std::exit(2);
-  }
-  return parsed;
 }
 
 void printStudy(const service::Json& result) {
@@ -243,7 +227,7 @@ int main(int argc, char** argv) {
         for (std::int64_t s : util::parseSizeList(next())) request.sizes.push_back(s);
       }
       else if (arg == "--caps") request.capsWatts = util::parseCapList(next());
-      else if (arg == "--cycles") request.cycles = static_cast<int>(parseBounded(next(), "--cycles", 1, core::kMaxCycles));
+      else if (arg == "--cycles") request.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--budget") request.budgetWatts = util::parseDouble(next(), "--budget");
       else if (arg == "--sim-steps") request.simSteps = static_cast<int>(util::parseInt(next(), "--sim-steps"));
       else if (arg == "--delay-ms") request.delayMs = util::parseDouble(next(), "--delay-ms");
@@ -255,7 +239,7 @@ int main(int argc, char** argv) {
         request.op = service::Op::Events;
         haveOp = true;
       }
-      else if (arg == "--limit") request.eventsLimit = static_cast<int>(parseBounded(next(), "--limit", 1, 1 << 20));
+      else if (arg == "--limit") request.eventsLimit = static_cast<int>(util::parseBounded(next(), "--limit", 1, 1 << 20));
       else if (arg == "--clear") request.clearTrace = true;
       else if (arg == "--lint") lint = true;
       else if (arg == "--trace") request.trace = true;
@@ -264,12 +248,11 @@ int main(int argc, char** argv) {
         traceOutPath = next();
       }
       else if (arg == "--backend") request.backend = next();
-      else if (arg == "--advect-seeds") request.advectSeeds = parseBounded(next(), "--advect-seeds", 1, 50000000);
-      else if (arg == "--advect-steps") request.advectSteps = parseBounded(next(), "--advect-steps", 1, 10000000);
+      else if (arg == "--advect-seeds") request.advectSeeds = util::parseBounded(next(), "--advect-seeds", 1, 50000000);
+      else if (arg == "--advect-steps") request.advectSteps = util::parseBounded(next(), "--advect-steps", 1, 10000000);
       else if (arg == "--advect-mode") request.advectMode = next();
-      else if (arg == "--advect-schedule") request.advectSchedule = next();
-      else if (arg == "--blocks") request.blocks = parseBounded(next(), "--blocks", 1, 4096);
-      else if (arg == "--ghost") request.ghost = parseBounded(next(), "--ghost", 1, 8);
+      else if (arg == "--blocks") request.blocks = util::parseBounded(next(), "--blocks", 1, 4096);
+      else if (arg == "--ghost") request.ghost = util::parseBounded(next(), "--ghost", 1, 8);
       else if (!arg.empty() && arg[0] != '-' && !haveOp) {
         request.op = service::parseOpToken(arg);
         haveOp = true;
@@ -278,12 +261,17 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
-    if (!haveOp) usage(2);
-    if (request.op == service::Op::Budget && request.budgetWatts <= 0.0) {
-      std::cerr << "budget requires --budget WATTS\n";
-      return 2;
-    }
+  } catch (const pviz::Error& e) {
+    std::cerr << "powerviz_client: " << e.what() << '\n';
+    return 2;
+  }
+  if (!haveOp) usage(2);
+  if (request.op == service::Op::Budget && request.budgetWatts <= 0.0) {
+    std::cerr << "budget requires --budget WATTS\n";
+    return 2;
+  }
 
+  try {
     service::ServiceClient client(host, port, limits);
     const service::Response response = client.request(request);
 

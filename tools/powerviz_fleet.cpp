@@ -148,15 +148,7 @@ int main(int argc, char** argv) {
           blockCounts.push_back(b);
         }
       }
-      else if (arg == "--cycles") {
-        const std::int64_t parsed = util::parseInt(next(), "--cycles");
-        if (parsed < 1 || parsed > core::kMaxCycles) {
-          std::cerr << "--cycles must be in [1, " << core::kMaxCycles
-                    << "], got " << parsed << '\n';
-          std::exit(2);
-        }
-        cycles = static_cast<int>(parsed);
-      }
+      else if (arg == "--cycles") cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--kill-one") killOne = true;
       else if (arg == "--kill-after-ms") killAfterMs = static_cast<int>(util::parseInt(next(), "--kill-after-ms"));
       else if (arg == "--report") reportPath = next();
@@ -170,7 +162,12 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
+  } catch (const pviz::Error& e) {
+    std::cerr << "powerviz_fleet: " << e.what() << '\n';
+    return 2;
+  }
 
+  try {
     std::vector<fleet::SpawnedWorker> spawned;
     if (attachList.empty()) {
       // Spawn mode.

@@ -60,7 +60,7 @@ options:
   --caps w,w,...      default cap sweep for classify/study requests
   --cycles N          default visualization cycles (default 10, at most 1000)
   --backend NAME      execution backend for requests that don't name one:
-                      serial | threaded | vectorized (default: the
+                      serial | threaded (default: the
                       POWERVIZ_BACKEND environment default, else threaded)
   --slo-p99-ms SPEC   per-op p99 latency objectives feeding the SLO
                       burn-rate gauges and the slow-request event log.
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       else if (arg == "--request-timeout-ms") config.requestTimeoutMs = static_cast<int>(util::parseInt(next(), "--request-timeout-ms"));
       else if (arg == "--result-cache") config.engine.cacheEntries = static_cast<std::size_t>(util::parseInt(next(), "--result-cache"));
       else if (arg == "--caps") config.engine.study.capsWatts = util::parseCapList(next());
-      else if (arg == "--cycles") config.engine.study.cycles = static_cast<int>(util::parseInt(next(), "--cycles"));
+      else if (arg == "--cycles") config.engine.study.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--backend") config.engine.backend = next();
       else if (arg == "--slo-p99-ms") {
         // `op=ms,op=ms` or a bare number applying to `study`.
@@ -151,7 +151,12 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
+  } catch (const pviz::Error& e) {
+    std::cerr << "powerviz_serve: " << e.what() << '\n';
+    return 2;
+  }
 
+  try {
     if (::pipe(signalPipe) != 0) {
       std::cerr << "cannot create signal pipe\n";
       return 1;

@@ -51,7 +51,7 @@ options:
   --cache PATH          characterization cache file (default: the
                         POWERVIZ_PROFILE_CACHE env var, else
                         pviz_profile_cache.txt; "none" disables)
-  --backend NAME        execution backend: serial | threaded | vectorized
+  --backend NAME        execution backend: serial | threaded
                         (default: POWERVIZ_BACKEND, else threaded; all
                         backends produce bit-identical results)
   --advect-seeds N      advection particle count, 1..50000000
@@ -59,7 +59,6 @@ options:
   --advect-steps N      advection max integration steps, 1..10000000
                         (default 1000)
   --advect-mode M       streamline | pathline
-  --advect-schedule S   worksteal | static (bit-identical output)
   --blocks N            multi-block k-slab count, 1..4096 (default:
                         POWERVIZ_BLOCKS, else 1).  Outputs are
                         bit-identical for every block count; the profile
@@ -71,20 +70,6 @@ options:
   -h, --help            this text
 )";
   std::exit(exitCode);
-}
-
-// Range-checked integer flag: rejects typos (zero, negatives, absurd
-// magnitudes) at parse time with the offending flag named, before any
-// dataset is generated.
-std::int64_t parseBounded(const std::string& value, const char* flag,
-                          std::int64_t lo, std::int64_t hi) {
-  const std::int64_t parsed = util::parseInt(value, flag);
-  if (parsed < lo || parsed > hi) {
-    std::cerr << flag << " must be in [" << lo << ", " << hi << "], got "
-              << parsed << '\n';
-    std::exit(2);
-  }
-  return parsed;
 }
 
 }  // namespace
@@ -121,7 +106,7 @@ int main(int argc, char** argv) {
       };
       if (arg == "-h" || arg == "--help") usage(0);
       else if (arg == "--phase") phase = static_cast<int>(util::parseInt(next(), "--phase"));
-      else if (arg == "--cycles") config.cycles = static_cast<int>(parseBounded(next(), "--cycles", 1, core::kMaxCycles));
+      else if (arg == "--cycles") config.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--full-render") config.params.sampledCameraCount = 0;
       else if (arg == "--csv") csvPath = next();
       else if (arg == "--backend") {
@@ -146,21 +131,17 @@ int main(int argc, char** argv) {
         algorithms = core::parseAlgorithmList(next());
       } else if (arg == "--advect-seeds") {
         config.params.seedCount =
-            parseBounded(next(), "--advect-seeds", 1, 50000000);
+            util::parseBounded(next(), "--advect-seeds", 1, 50000000);
       } else if (arg == "--advect-steps") {
         config.params.maxSteps =
-            parseBounded(next(), "--advect-steps", 1, 10000000);
+            util::parseBounded(next(), "--advect-steps", 1, 10000000);
       } else if (arg == "--blocks") {
-        config.params.blockCount = parseBounded(next(), "--blocks", 1, 4096);
+        config.params.blockCount = util::parseBounded(next(), "--blocks", 1, 4096);
       } else if (arg == "--ghost") {
-        config.params.ghostLayers = parseBounded(next(), "--ghost", 1, 8);
+        config.params.ghostLayers = util::parseBounded(next(), "--ghost", 1, 8);
       } else if (arg == "--advect-mode") {
         config.params.advectionMode = next();
         vis::ParticleAdvectionFilter::parseMode(config.params.advectionMode);
-      } else if (arg == "--advect-schedule") {
-        config.params.advectionSchedule = next();
-        vis::ParticleAdvectionFilter::parseSchedule(
-            config.params.advectionSchedule);
       } else {
         std::cerr << "unknown option '" << arg << "'\n";
         usage(2);
