@@ -484,6 +484,25 @@ void BM_VolumeRender(benchmark::State& state) {
 }
 BENCHMARK(BM_VolumeRender);
 
+// The study's per-camera volume shape: one 512² camera over the 64³ and
+// 128³ study grids at the default 256 samples across, so the numbers
+// track the ray-march phase of a characterization camera by camera.
+void BM_VolumeRenderStudy(benchmark::State& state) {
+  const vis::UniformGrid& g = grid(state.range(0));
+  vis::VolumeRenderer renderer;
+  renderer.setImageSize(512, 512);
+  renderer.setCameraCount(1);
+  util::ExecutionContext ctx(pool());
+  std::int64_t samples = 0;
+  for (auto _ : state) {
+    ctx.beginRun();
+    samples = renderer.run(ctx, g, "energy").samplesTaken;
+    benchmark::DoNotOptimize(samples);
+  }
+  state.SetItemsProcessed(state.iterations() * samples);
+}
+BENCHMARK(BM_VolumeRenderStudy)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
 // --- Telemetry cost -------------------------------------------------
 //
 // BM_HistogramRecord is the raw cost of one Histogram::record(): a

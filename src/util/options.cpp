@@ -33,8 +33,9 @@ std::vector<std::string> splitList(const std::string& csv) {
 
 std::int64_t parseInt(const std::string& token, const std::string& what) {
   std::int64_t value = 0;
-  PVIZ_REQUIRE(wholeInt(token, value),
-               what + ": '" + token + "' is not an integer");
+  if (!wholeInt(token, value)) {
+    throw Error(what + ": '" + token + "' is not an integer");
+  }
   return value;
 }
 
@@ -52,9 +53,9 @@ double parseDouble(const std::string& token, const std::string& what) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
-  PVIZ_REQUIRE(!token.empty() && end == token.c_str() + token.size() &&
-                   errno == 0,
-               what + ": '" + token + "' is not a number");
+  if (token.empty() || end != token.c_str() + token.size() || errno != 0) {
+    throw Error(what + ": '" + token + "' is not a number");
+  }
   return value;
 }
 
@@ -62,10 +63,10 @@ std::vector<std::int64_t> parseSizeList(const std::string& csv) {
   std::vector<std::int64_t> sizes;
   for (const auto& token : splitList(csv)) {
     const std::int64_t size = parseInt(token, "size list");
-    PVIZ_REQUIRE(size > 0, "size list: '" + token + "' must be positive");
+    if (size <= 0) throw Error("size list: '" + token + "' must be positive");
     sizes.push_back(size);
   }
-  PVIZ_REQUIRE(!sizes.empty(), "size list is empty");
+  if (sizes.empty()) throw Error("size list is empty");
   return sizes;
 }
 
@@ -73,10 +74,10 @@ std::vector<double> parseCapList(const std::string& csv) {
   std::vector<double> caps;
   for (const auto& token : splitList(csv)) {
     const double cap = parseDouble(token, "cap list");
-    PVIZ_REQUIRE(cap > 0.0, "cap list: '" + token + "' must be positive");
+    if (!(cap > 0.0)) throw Error("cap list: '" + token + "' must be positive");
     caps.push_back(cap);
   }
-  PVIZ_REQUIRE(!caps.empty(), "cap list is empty");
+  if (caps.empty()) throw Error("cap list is empty");
   return caps;
 }
 

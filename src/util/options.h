@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,11 @@ namespace pviz::util {
 /// Split a comma-separated list into tokens; empty tokens are dropped
 /// ("a,,b" -> {"a", "b"}), so a trailing comma is not an error.
 std::vector<std::string> splitList(const std::string& csv);
+
+/// Largest value of a flag stored in an int (milliseconds, counts).
+inline constexpr std::int64_t kMaxIntFlag = std::numeric_limits<int>::max();
+/// Largest TCP port number.
+inline constexpr std::int64_t kMaxPort = 65535;
 
 /// Strict integer parse: the whole token must be a base-10 integer.
 /// `what` names the option in the error message.

@@ -21,6 +21,67 @@
 
 namespace pviz::vis {
 
+/// The geometry of one UniformGrid that point location and trilinear
+/// interpolation read, copied into plain values.  UniformGrid's own
+/// sample entry points go through it, and a hot loop (the volume ray
+/// march) builds it once per run so the locate-and-interpolate path
+/// keeps no pointer back to the grid and makes no call.
+struct GridLattice {
+  Vec3 origin;
+  Vec3 spacing;
+  Vec3 offset;  ///< indexOffset as doubles (exact)
+  Id3 cellDims;
+  Id strideJ;  ///< point-id step along j
+  Id strideK;  ///< point-id step along k
+
+  /// The cell containing world position `p` and the parametric
+  /// coordinates inside it; false if outside.  Points exactly on the
+  /// upper boundary belong to the last cell.
+  bool locate(const Vec3& p, Id3& cellOut, Vec3& paramOut) const {
+    const Vec3 rel = p - origin;
+    const double fi = rel.x / spacing.x - offset.x;
+    const double fj = rel.y / spacing.y - offset.y;
+    const double fk = rel.z / spacing.z - offset.z;
+    if (fi < 0 || fj < 0 || fk < 0) return false;
+    Id ci = static_cast<Id>(fi);
+    Id cj = static_cast<Id>(fj);
+    Id ck = static_cast<Id>(fk);
+    const Id3& cd = cellDims;
+    if (ci >= cd.i) { if (fi <= static_cast<double>(cd.i)) ci = cd.i - 1; else return false; }
+    if (cj >= cd.j) { if (fj <= static_cast<double>(cd.j)) cj = cd.j - 1; else return false; }
+    if (ck >= cd.k) { if (fk <= static_cast<double>(cd.k)) ck = cd.k - 1; else return false; }
+    cellOut = {ci, cj, ck};
+    paramOut = {fi - static_cast<double>(ci), fj - static_cast<double>(cj),
+                fk - static_cast<double>(ck)};
+    return true;
+  }
+
+  /// Trilinear blend of `fetch(pointId)` over the 8 corners of `cell`
+  /// (VTK hexahedron order) at parametric coordinates `t`.
+  template <typename Fetch>
+  auto trilinear(Id3 cell, const Vec3& t, Fetch&& fetch) const
+      -> decltype(fetch(Id{0})) {
+    const Id base = cell.i + strideJ * cell.j + strideK * cell.k;
+    const Id ids[8] = {base,
+                       base + 1,
+                       base + 1 + strideJ,
+                       base + strideJ,
+                       base + strideK,
+                       base + 1 + strideK,
+                       base + 1 + strideJ + strideK,
+                       base + strideJ + strideK};
+    const double ti = t.x, tj = t.y, tk = t.z;
+    const double w[8] = {
+        (1 - ti) * (1 - tj) * (1 - tk), ti * (1 - tj) * (1 - tk),
+        ti * tj * (1 - tk),             (1 - ti) * tj * (1 - tk),
+        (1 - ti) * (1 - tj) * tk,       ti * (1 - tj) * tk,
+        ti * tj * tk,                   (1 - ti) * tj * tk};
+    auto acc = fetch(ids[0]) * w[0];
+    for (int c = 1; c < 8; ++c) acc += fetch(ids[c]) * w[c];
+    return acc;
+  }
+};
+
 class UniformGrid {
  public:
   UniformGrid() = default;
@@ -146,6 +207,19 @@ class UniformGrid {
     out[7] = base + dj + dk;
   }
 
+  /// The geometry point location and trilinear interpolation read, as
+  /// plain values; see GridLattice.
+  GridLattice lattice() const {
+    return {origin_,
+            spacing_,
+            {static_cast<double>(indexOffset_.i),
+             static_cast<double>(indexOffset_.j),
+             static_cast<double>(indexOffset_.k)},
+            cellDims(),
+            pointDims_.i,
+            pointDims_.i * pointDims_.j};
+  }
+
   /// Locate the cell containing world position `p`; false if outside.
   /// On an offset grid the window's lower corner is lattice index
   /// `indexOffset`, so the global fractional coordinate is shifted into
@@ -153,28 +227,18 @@ class UniformGrid {
   /// block seams — deterministic sampling across blocks goes through
   /// MultiBlockGrid, which locates on the global skeleton instead).
   bool locateCell(const Vec3& p, Id3& cellOut, Vec3& paramOut) const {
-    const Id3 cd = cellDims();
-    const Vec3 rel = p - origin_;
-    const double fi = rel.x / spacing_.x - static_cast<double>(indexOffset_.i);
-    const double fj = rel.y / spacing_.y - static_cast<double>(indexOffset_.j);
-    const double fk = rel.z / spacing_.z - static_cast<double>(indexOffset_.k);
-    if (fi < 0 || fj < 0 || fk < 0) return false;
-    Id ci = static_cast<Id>(fi);
-    Id cj = static_cast<Id>(fj);
-    Id ck = static_cast<Id>(fk);
-    // Points exactly on the upper boundary belong to the last cell.
-    if (ci >= cd.i) { if (fi <= static_cast<double>(cd.i)) ci = cd.i - 1; else return false; }
-    if (cj >= cd.j) { if (fj <= static_cast<double>(cd.j)) cj = cd.j - 1; else return false; }
-    if (ck >= cd.k) { if (fk <= static_cast<double>(cd.k)) ck = cd.k - 1; else return false; }
-    cellOut = {ci, cj, ck};
-    paramOut = {fi - static_cast<double>(ci), fj - static_cast<double>(cj),
-                fk - static_cast<double>(ck)};
-    return true;
+    return lattice().locate(p, cellOut, paramOut);
   }
 
   /// Trilinear interpolation of a point scalar field at world position `p`.
   /// Returns false when `p` lies outside the grid.
-  bool sampleScalar(const Field& f, const Vec3& p, double& out) const;
+  bool sampleScalar(const Field& f, const Vec3& p, double& out) const {
+    Id3 cell;
+    Vec3 t;
+    if (!locateCell(p, cell, t)) return false;
+    out = interpolateScalar(f, cell, t);
+    return true;
+  }
 
   /// Trilinear interpolation of a point vector field at world position `p`.
   bool sampleVector(const Field& f, const Vec3& p, Vec3& out) const;
@@ -184,7 +248,11 @@ class UniformGrid {
   /// multi-block domain can locate on the global skeleton grid and
   /// evaluate through the owner block's field with the exact weight and
   /// accumulation order of the single-grid sample path.
-  double interpolateScalar(const Field& f, Id3 cell, const Vec3& t) const;
+  double interpolateScalar(const Field& f, Id3 cell, const Vec3& t) const {
+    PVIZ_REQUIRE(f.association() == Association::Points,
+                 "interpolateScalar requires a point field");
+    return lattice().trilinear(cell, t, [&](Id id) { return f.value(id); });
+  }
   Vec3 interpolateVector(const Field& f, Id3 cell, const Vec3& t) const;
 
   // --- fields -----------------------------------------------------------

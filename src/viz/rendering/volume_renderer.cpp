@@ -22,10 +22,19 @@ VolumeRenderer::Result VolumeRenderer::run(util::ExecutionContext& ctx,
   result.profile.kernel = "volume-rendering";
   result.profile.elements = grid.numCells();
 
+  // Per-run invariants of the march, hoisted out of the sample loop: the
+  // grid geometry, the field's data, its range and the opacity exponent.
   const Bounds box = grid.bounds();
   const double diagonal = length(box.extent());
   const double stepSize = diagonal / samplesAcross_;
   const auto [scalarLo, scalarHi] = field.range();
+  const GridLattice lattice = grid.lattice();
+  const double* values = field.data().data();
+  // The exponent corrects opacity for the step size; at 256 samples
+  // across it is x / x, exactly 1.0, and pow(y, 1.0) == y, so the march
+  // skips the call and stays bitwise equal to the pow form.
+  const double opacityExponent = stepSize / (diagonal / 256.0);
+  const bool unitExponent = opacityExponent == 1.0;
   const std::vector<Camera> cameras = cameraOrbit(box, cameraCount_);
 
   std::atomic<std::int64_t> samplesTaken{0};
@@ -52,18 +61,23 @@ VolumeRenderer::Result VolumeRenderer::run(util::ExecutionContext& ctx,
             Color accum{0, 0, 0, 0};
             for (double t = tNear + 0.5 * stepSize; t < tFar;
                  t += stepSize) {
-              double s;
-              if (!grid.sampleScalar(field, ray.origin + ray.direction * t,
-                                     s)) {
+              Id3 cell;
+              Vec3 param;
+              if (!lattice.locate(ray.origin + ray.direction * t, cell,
+                                  param)) {
                 continue;
               }
               ++localSamples;
+              const double s = lattice.trilinear(
+                  cell, param, [values](Id id) { return values[id]; });
               const Color sample =
                   colors_.sampleRange(s, scalarLo, scalarHi);
               // Opacity correction for the step size, then front-to-back
               // "over" compositing with early termination.
+              const double transmit = 1.0 - sample.a;
               const double alpha =
-                  1.0 - std::pow(1.0 - sample.a, stepSize / (diagonal / 256.0));
+                  1.0 - (unitExponent ? transmit
+                                      : std::pow(transmit, opacityExponent));
               const double weight = (1.0 - accum.a) * alpha;
               accum.r += weight * sample.r;
               accum.g += weight * sample.g;

@@ -712,6 +712,67 @@ TEST(ServiceServer, ServeBinaryDrainsOnSigint) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
   close(outPipe[0]);
 }
+
+// Run the serve binary with `flag value`, which it must reject before
+// binding anything: exit status 2, a usage line naming the flag and
+// the range on stderr, no listening banner.  A child still running
+// after 10 s is killed and fails the test.
+void expectServeRejects(const char* flag, const char* value,
+                        const std::string& range) {
+  SCOPED_TRACE(std::string(flag) + " " + value);
+  int outPipe[2];
+  ASSERT_EQ(pipe(outPipe), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    dup2(outPipe[1], STDOUT_FILENO);
+    dup2(outPipe[1], STDERR_FILENO);
+    close(outPipe[0]);
+    close(outPipe[1]);
+    execl(POWERVIZ_SERVE_BIN, POWERVIZ_SERVE_BIN, "--light", "--cache",
+          "none", "--quiet", flag, value, static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(outPipe[1]);
+  int status = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  pid_t done = 0;
+  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    close(outPipe[0]);
+    FAIL() << "server did not exit";
+  }
+  std::string output;
+  char chunk[256];
+  ssize_t n = 0;
+  while ((n = read(outPipe[0], chunk, sizeof chunk)) > 0) {
+    output.append(chunk, static_cast<std::size_t>(n));
+  }
+  close(outPipe[0]);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(output.find(std::string(flag) + " must be an integer in " +
+                        range + ", got '" + value + "'"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("usage: powerviz_serve"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("listening"), std::string::npos) << output;
+  EXPECT_EQ(output.find("requirement failed"), std::string::npos) << output;
+}
+
+TEST(ServiceServer, ServeBinaryRejectsOutOfRangeFlags) {
+  expectServeRejects("--workers", "0", "[1, 256]");
+  expectServeRejects("--port", "-1", "[0, 65535]");
+  expectServeRejects("--port", "65536", "[0, 65535]");
+  expectServeRejects("--workers", "x", "[1, 256]");
+}
 #endif  // POWERVIZ_SERVE_BIN
 
 }  // namespace

@@ -28,6 +28,20 @@ TEST(ParseInt, StrictWholeToken) {
   EXPECT_THROW(util::parseInt("99999999999999999999999", "x"), Error);
 }
 
+TEST(ParseInt, RejectsWithThePlainFlagAndToken) {
+  // A usage error names the flag and the token, not a source location.
+  for (const char* token : {"", "12x", "1.5", "99999999999999999999"}) {
+    SCOPED_TRACE(token);
+    try {
+      util::parseInt(token, "--port");
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--port: '") + token + "' is not an integer");
+    }
+  }
+}
+
 TEST(ParseBounded, AcceptsTheClosedRange) {
   EXPECT_EQ(util::parseBounded("1", "--cycles", 1, 1000), 1);
   EXPECT_EQ(util::parseBounded("1000", "--cycles", 1, 1000), 1000);
@@ -36,7 +50,8 @@ TEST(ParseBounded, AcceptsTheClosedRange) {
 
 TEST(ParseBounded, RejectsWithTheFlagAndTheRange) {
   for (const char* token :
-       {"0", "1001", "5000", "-1", "", "12x", "1.5", "99999999999999999999"}) {
+       {"0", "1001", "5000", "-1", "", "12x", "1.5", "99999999999999999999",
+        "4294967297"}) {  // 2^32 + 1: a cast to int would read 1
     SCOPED_TRACE(token);
     try {
       util::parseBounded(token, "--cycles", 1, 1000);
@@ -55,6 +70,25 @@ TEST(ParseDouble, StrictWholeToken) {
   EXPECT_THROW(util::parseDouble("", "x"), Error);
   EXPECT_THROW(util::parseDouble("watts", "x"), Error);
   EXPECT_THROW(util::parseDouble("3.5w", "x"), Error);
+}
+
+TEST(ParseLists, ErrorsCarryNoSourceLocation) {
+  const auto message = [](auto&& parse) {
+    try {
+      parse();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message([] { util::parseDouble("watts", "--budget"); }),
+            "--budget: 'watts' is not a number");
+  EXPECT_EQ(message([] { util::parseSizeList("32,0"); }),
+            "size list: '0' must be positive");
+  EXPECT_EQ(message([] { util::parseSizeList(",,"); }), "size list is empty");
+  EXPECT_EQ(message([] { util::parseCapList("120,-40"); }),
+            "cap list: '-40' must be positive");
+  EXPECT_EQ(message([] { util::parseCapList(""); }), "cap list is empty");
 }
 
 TEST(ParseSizeList, ValidAndMalformed) {

@@ -1,9 +1,14 @@
 // Volume rendering tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
+#include "reference_common.h"
 #include "sim/cloverleaf.h"
 #include "util/exec_context.h"
 #include "viz/rendering/volume_renderer.h"
+#include "volume_reference.h"
 
 namespace pviz::vis {
 namespace {
@@ -136,6 +141,104 @@ TEST(VolumeRenderer, MoreSamplesRefineTheImageConsistently) {
   // Same scene: averages agree within a loose tolerance thanks to the
   // step-size opacity correction.
   EXPECT_NEAR(a.a, b.a, 0.08);
+}
+
+// ---- the ray march against a ray-by-ray serial reference ----
+
+struct MarchCase {
+  int width = 72;  // 72 x 64 pixels: two 4096-pixel chunks per camera
+  int height = 64;
+  int cameras = 3;
+  int samplesAcross = 256;
+  ColorTable colors = ColorTable::rainbowVolume();
+};
+
+/// Render every camera of `grid` on every exec config and compare each
+/// image and the sample count with the serial reference bit for bit.
+void expectMatchesReferenceOnEveryConfig(const UniformGrid& grid,
+                                         const std::string& fieldName,
+                                         const MarchCase& c) {
+  const reftest::VolumeReference want =
+      reftest::referenceVolume(grid, fieldName, c.width, c.height, c.cameras,
+                               c.samplesAcross, c.colors);
+  ASSERT_GT(want.samplesTaken, 0);
+  VolumeRenderer renderer;
+  renderer.setImageSize(c.width, c.height);
+  renderer.setCameraCount(c.cameras);
+  renderer.setSamplesAcross(c.samplesAcross);
+  renderer.setColorTable(c.colors);
+  renderer.setKeepFirstImageOnly(false);
+  for (const reftest::ExecConfig& config : reftest::execConfigs()) {
+    SCOPED_TRACE(config.label());
+    util::ThreadPool pool(config.workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(*config.backend);
+    const VolumeRenderer::Result got = renderer.run(ctx, grid, fieldName);
+    EXPECT_EQ(got.samplesTaken, want.samplesTaken);
+    ASSERT_EQ(got.images.size(), want.images.size());
+    for (std::size_t cam = 0; cam < want.images.size(); ++cam) {
+      EXPECT_TRUE(reftest::sameImageBits(got.images[cam], want.images[cam]))
+          << "camera " << cam;
+    }
+  }
+}
+
+/// 13 x 8 x 10 cells with a non-zero origin and unequal, non-unit
+/// spacing, carrying an oscillating point field "w".
+UniformGrid skewedGrid() {
+  UniformGrid g({14, 9, 11}, {-0.7, 0.3, 1.25}, {0.13, 0.21, 0.09});
+  Field w = Field::zeros("w", Association::Points, 1, g.numPoints());
+  for (Id p = 0; p < g.numPoints(); ++p) {
+    const Vec3 x = g.pointPosition(p);
+    w.setScalar(p, std::sin(5.0 * x.x) * std::cos(3.0 * x.y) + x.z);
+  }
+  g.addField(std::move(w));
+  return g;
+}
+
+TEST(VolumeRendererReference, UnitOpacityExponent) {
+  // 256 samples across: the opacity exponent is exactly 1.0.
+  expectMatchesReferenceOnEveryConfig(dataset(), "energy", MarchCase{});
+}
+
+TEST(VolumeRendererReference, CoarseStepsTakeThePowPath) {
+  MarchCase c;
+  c.samplesAcross = 64;
+  expectMatchesReferenceOnEveryConfig(dataset(), "energy", c);
+}
+
+TEST(VolumeRendererReference, FineStepsTakeThePowPath) {
+  MarchCase c;
+  c.samplesAcross = 1000;
+  c.cameras = 2;
+  expectMatchesReferenceOnEveryConfig(dataset(), "energy", c);
+}
+
+TEST(VolumeRendererReference, NonCubeGridWithOriginAndSpacing) {
+  const UniformGrid g = skewedGrid();
+  expectMatchesReferenceOnEveryConfig(g, "w", MarchCase{});
+  MarchCase coarse;
+  coarse.samplesAcross = 64;
+  expectMatchesReferenceOnEveryConfig(g, "w", coarse);
+}
+
+TEST(VolumeRendererReference, OpaqueTable) {
+  MarchCase c;
+  c.colors = ColorTable({{0.0, {1, 1, 1, 0.95}}, {1.0, {1, 1, 1, 0.95}}});
+  expectMatchesReferenceOnEveryConfig(dataset(), "energy", c);
+}
+
+TEST(VolumeRendererReference, TransparentTable) {
+  MarchCase c;
+  c.colors = ColorTable({{0.0, {1, 0, 0, 0.0}}, {1.0, {1, 0, 0, 0.0}}});
+  expectMatchesReferenceOnEveryConfig(dataset(), "energy", c);
+}
+
+TEST(VolumeRendererReference, OnePixelWideImage) {
+  MarchCase c;
+  c.width = 1;
+  c.height = 97;
+  expectMatchesReferenceOnEveryConfig(dataset(), "energy", c);
 }
 
 }  // namespace

@@ -214,14 +214,14 @@ int main(int argc, char** argv) {
       };
       if (arg == "-h" || arg == "--help") usage(0);
       else if (arg == "--host") host = next();
-      else if (arg == "--port") port = static_cast<int>(util::parseInt(next(), "--port"));
+      else if (arg == "--port") port = static_cast<int>(util::parseBounded(next(), "--port", 0, util::kMaxPort));
       else if (arg == "--json") rawJson = true;
-      else if (arg == "--timeout-ms") limits.recvTimeoutMs = static_cast<int>(util::parseInt(next(), "--timeout-ms"));
-      else if (arg == "--retries") limits.retries = static_cast<int>(util::parseInt(next(), "--retries"));
-      else if (arg == "--retry-backoff-ms") limits.retryBackoffMs = static_cast<int>(util::parseInt(next(), "--retry-backoff-ms"));
+      else if (arg == "--timeout-ms") limits.recvTimeoutMs = static_cast<int>(util::parseBounded(next(), "--timeout-ms", 0, util::kMaxIntFlag));
+      else if (arg == "--retries") limits.retries = static_cast<int>(util::parseBounded(next(), "--retries", 0, 1000));
+      else if (arg == "--retry-backoff-ms") limits.retryBackoffMs = static_cast<int>(util::parseBounded(next(), "--retry-backoff-ms", 0, util::kMaxIntFlag));
       else if (arg == "--algorithm") request.algorithm = core::parseAlgorithmToken(next());
       else if (arg == "--algorithms") request.algorithms = core::parseAlgorithmList(next());
-      else if (arg == "--size") request.size = util::parseInt(next(), "--size");
+      else if (arg == "--size") request.size = util::parseBounded(next(), "--size", 1, std::int64_t{1} << 20);
       else if (arg == "--sizes") {
         request.sizes.clear();
         for (std::int64_t s : util::parseSizeList(next())) request.sizes.push_back(s);
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
       else if (arg == "--caps") request.capsWatts = util::parseCapList(next());
       else if (arg == "--cycles") request.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--budget") request.budgetWatts = util::parseDouble(next(), "--budget");
-      else if (arg == "--sim-steps") request.simSteps = static_cast<int>(util::parseInt(next(), "--sim-steps"));
+      else if (arg == "--sim-steps") request.simSteps = static_cast<int>(util::parseBounded(next(), "--sim-steps", 0, util::kMaxIntFlag));
       else if (arg == "--delay-ms") request.delayMs = util::parseDouble(next(), "--delay-ms");
       else if (arg == "--metrics") {
         request.op = service::Op::Metrics;
@@ -262,7 +262,8 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const pviz::Error& e) {
-    std::cerr << "powerviz_client: " << e.what() << '\n';
+    std::cerr << "powerviz_client: " << e.what()
+              << "\nusage: powerviz_client [options] OP (--help lists them)\n";
     return 2;
   }
   if (!haveOp) usage(2);

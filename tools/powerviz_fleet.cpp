@@ -40,7 +40,7 @@ using namespace pviz;
 usage: powerviz_fleet [options]
 
 fleet:
-  --workers N          workers to spawn (default 4)
+  --workers N          workers to spawn, 1..256 (default 4)
   --serve-bin PATH     powerviz_serve binary to spawn (default: the
                        POWERVIZ_SERVE env var, else ./powerviz_serve)
   --attach LIST        attach to running servers instead of spawning:
@@ -92,7 +92,6 @@ output:
 int main(int argc, char** argv) {
   int workers = 4;
   std::string serveBin;
-  std::string attachList;
   bool light = false;
   bool killOne = false;
   int killAfterMs = 500;
@@ -123,14 +122,29 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "-h" || arg == "--help") usage(0);
-      else if (arg == "--workers") workers = static_cast<int>(util::parseInt(next(), "--workers"));
+      else if (arg == "--workers") workers = static_cast<int>(util::parseBounded(next(), "--workers", 1, 256));
       else if (arg == "--serve-bin") serveBin = next();
-      else if (arg == "--attach") attachList = next();
+      else if (arg == "--attach") {
+        config.endpoints.clear();
+        for (const std::string& entry : util::splitList(next())) {
+          const std::size_t colon = entry.rfind(':');
+          if (colon == std::string::npos) {
+            throw Error("--attach entries are host:port, got '" + entry + "'");
+          }
+          fleet::FleetEndpoint endpoint;
+          endpoint.name = "w" + std::to_string(config.endpoints.size());
+          endpoint.host = entry.substr(0, colon);
+          endpoint.port = static_cast<int>(util::parseBounded(
+              entry.substr(colon + 1), "--attach port", 0, util::kMaxPort));
+          config.endpoints.push_back(endpoint);
+        }
+        if (config.endpoints.empty()) throw Error("--attach list is empty");
+      }
       else if (arg == "--light") light = true;
       else if (arg == "--grain") config.grain = core::parseSweepGrainToken(next());
-      else if (arg == "--hedge-ms") config.hedgeAfterMs = static_cast<int>(util::parseInt(next(), "--hedge-ms"));
-      else if (arg == "--retries") config.clientRetries = static_cast<int>(util::parseInt(next(), "--retries"));
-      else if (arg == "--timeout-ms") config.recvTimeoutMs = static_cast<int>(util::parseInt(next(), "--timeout-ms"));
+      else if (arg == "--hedge-ms") config.hedgeAfterMs = static_cast<int>(util::parseBounded(next(), "--hedge-ms", 0, util::kMaxIntFlag));
+      else if (arg == "--retries") config.clientRetries = static_cast<int>(util::parseBounded(next(), "--retries", 0, 1000));
+      else if (arg == "--timeout-ms") config.recvTimeoutMs = static_cast<int>(util::parseBounded(next(), "--timeout-ms", 0, util::kMaxIntFlag));
       else if (arg == "--algorithms") algorithms = core::parseAlgorithmList(next());
       else if (arg == "--sizes") {
         sizes.clear();
@@ -150,7 +164,7 @@ int main(int argc, char** argv) {
       }
       else if (arg == "--cycles") cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--kill-one") killOne = true;
-      else if (arg == "--kill-after-ms") killAfterMs = static_cast<int>(util::parseInt(next(), "--kill-after-ms"));
+      else if (arg == "--kill-after-ms") killAfterMs = static_cast<int>(util::parseBounded(next(), "--kill-after-ms", 0, util::kMaxIntFlag));
       else if (arg == "--report") reportPath = next();
       else if (arg == "--metrics-out") metricsOutPath = next();
       else if (arg == "--trace-out") traceOutPath = next();
@@ -162,20 +176,24 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
+    if (killOne && !config.endpoints.empty()) {
+      throw Error("--kill-one needs spawn mode (we only kill workers this "
+                  "process owns)");
+    }
   } catch (const pviz::Error& e) {
-    std::cerr << "powerviz_fleet: " << e.what() << '\n';
+    std::cerr << "powerviz_fleet: " << e.what()
+              << "\nusage: powerviz_fleet [options] (--help lists them)\n";
     return 2;
   }
 
   try {
     std::vector<fleet::SpawnedWorker> spawned;
-    if (attachList.empty()) {
+    if (config.endpoints.empty()) {
       // Spawn mode.
       if (serveBin.empty()) {
         const char* env = std::getenv("POWERVIZ_SERVE");
         serveBin = env != nullptr ? env : "./powerviz_serve";
       }
-      PVIZ_REQUIRE(workers >= 1, "--workers must be >= 1");
       fleet::SpawnOptions spawnOptions;
       spawnOptions.serveBin = serveBin;
       spawnOptions.args = {"--quiet", "--cache", "none"};
@@ -191,29 +209,6 @@ int main(int argc, char** argv) {
         config.endpoints.push_back(endpoint);
         spawned.push_back(worker);
       }
-    } else {
-      // Attach mode.
-      PVIZ_REQUIRE(!killOne, "--kill-one needs spawn mode (we only kill "
-                             "workers this process owns)");
-      std::size_t index = 0;
-      std::size_t start = 0;
-      while (start <= attachList.size()) {
-        std::size_t comma = attachList.find(',', start);
-        if (comma == std::string::npos) comma = attachList.size();
-        const std::string entry = attachList.substr(start, comma - start);
-        start = comma + 1;
-        if (entry.empty()) continue;
-        const std::size_t colon = entry.rfind(':');
-        PVIZ_REQUIRE(colon != std::string::npos,
-                     "--attach entries are host:port, got '" + entry + "'");
-        fleet::FleetEndpoint endpoint;
-        endpoint.name = "w" + std::to_string(index++);
-        endpoint.host = entry.substr(0, colon);
-        endpoint.port = static_cast<int>(
-            util::parseInt(entry.substr(colon + 1), "--attach port"));
-        config.endpoints.push_back(endpoint);
-      }
-      PVIZ_REQUIRE(!config.endpoints.empty(), "--attach list is empty");
     }
 
     int exitCode = 0;

@@ -34,10 +34,10 @@ using namespace pviz;
       R"(powerviz_serve — serve study/classify/budget requests over localhost TCP
 
 options:
-  --port N            listen port (0 = ephemeral, printed on stdout;
+  --port N            listen port 0..65535 (0 = ephemeral, printed on stdout;
                       default 7077)
   --host ADDR         listen address (default 127.0.0.1)
-  --workers N         request worker threads (default 4)
+  --workers N         request worker threads, 1..256 (default 4)
   --queue N           bounded request queue depth; requests beyond it get
                       an `overloaded` response (default 64)
   --max-connections N concurrent client bound; connections beyond it are
@@ -106,17 +106,17 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "-h" || arg == "--help") usage(0);
-      else if (arg == "--port") config.port = static_cast<int>(util::parseInt(next(), "--port"));
+      else if (arg == "--port") config.port = static_cast<int>(util::parseBounded(next(), "--port", 0, util::kMaxPort));
       else if (arg == "--host") config.host = next();
-      else if (arg == "--workers") config.workers = static_cast<int>(util::parseInt(next(), "--workers"));
-      else if (arg == "--queue") config.maxQueueDepth = static_cast<std::size_t>(util::parseInt(next(), "--queue"));
-      else if (arg == "--max-connections") config.maxConnections = static_cast<std::size_t>(util::parseInt(next(), "--max-connections"));
-      else if (arg == "--max-frame-bytes") config.maxFrameBytes = static_cast<std::size_t>(util::parseInt(next(), "--max-frame-bytes"));
-      else if (arg == "--max-json-depth") config.maxJsonDepth = static_cast<std::size_t>(util::parseInt(next(), "--max-json-depth"));
-      else if (arg == "--idle-timeout-ms") config.idleTimeoutMs = static_cast<int>(util::parseInt(next(), "--idle-timeout-ms"));
-      else if (arg == "--frame-timeout-ms") config.frameTimeoutMs = static_cast<int>(util::parseInt(next(), "--frame-timeout-ms"));
-      else if (arg == "--request-timeout-ms") config.requestTimeoutMs = static_cast<int>(util::parseInt(next(), "--request-timeout-ms"));
-      else if (arg == "--result-cache") config.engine.cacheEntries = static_cast<std::size_t>(util::parseInt(next(), "--result-cache"));
+      else if (arg == "--workers") config.workers = static_cast<int>(util::parseBounded(next(), "--workers", 1, 256));
+      else if (arg == "--queue") config.maxQueueDepth = static_cast<std::size_t>(util::parseBounded(next(), "--queue", 1, 1 << 20));
+      else if (arg == "--max-connections") config.maxConnections = static_cast<std::size_t>(util::parseBounded(next(), "--max-connections", 1, 1 << 20));
+      else if (arg == "--max-frame-bytes") config.maxFrameBytes = static_cast<std::size_t>(util::parseBounded(next(), "--max-frame-bytes", 64, 1 << 30));
+      else if (arg == "--max-json-depth") config.maxJsonDepth = static_cast<std::size_t>(util::parseBounded(next(), "--max-json-depth", 1, 1024));
+      else if (arg == "--idle-timeout-ms") config.idleTimeoutMs = static_cast<int>(util::parseBounded(next(), "--idle-timeout-ms", 0, util::kMaxIntFlag));
+      else if (arg == "--frame-timeout-ms") config.frameTimeoutMs = static_cast<int>(util::parseBounded(next(), "--frame-timeout-ms", 0, util::kMaxIntFlag));
+      else if (arg == "--request-timeout-ms") config.requestTimeoutMs = static_cast<int>(util::parseBounded(next(), "--request-timeout-ms", 0, util::kMaxIntFlag));
+      else if (arg == "--result-cache") config.engine.cacheEntries = static_cast<std::size_t>(util::parseBounded(next(), "--result-cache", 0, 1 << 24));
       else if (arg == "--caps") config.engine.study.capsWatts = util::parseCapList(next());
       else if (arg == "--cycles") config.engine.study.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--backend") config.engine.backend = next();
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
           start = comma + 1;
         }
       }
-      else if (arg == "--trace-buffer") config.traceBufferSpans = static_cast<std::size_t>(util::parseInt(next(), "--trace-buffer"));
+      else if (arg == "--trace-buffer") config.traceBufferSpans = static_cast<std::size_t>(util::parseBounded(next(), "--trace-buffer", 0, 1 << 24));
       else if (arg == "--light") config.engine.study.params = core::AlgorithmParams::lightRendering();
       else if (arg == "--quiet") util::setLogLevel(util::LogLevel::Warn);
       else if (arg == "--cache") {
@@ -152,7 +152,8 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const pviz::Error& e) {
-    std::cerr << "powerviz_serve: " << e.what() << '\n';
+    std::cerr << "powerviz_serve: " << e.what()
+              << "\nusage: powerviz_serve [options] (--help lists them)\n";
     return 2;
   }
 

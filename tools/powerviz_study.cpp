@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "-h" || arg == "--help") usage(0);
-      else if (arg == "--phase") phase = static_cast<int>(util::parseInt(next(), "--phase"));
+      else if (arg == "--phase") phase = static_cast<int>(util::parseBounded(next(), "--phase", 1, 3));
       else if (arg == "--cycles") config.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--full-render") config.params.sampledCameraCount = 0;
       else if (arg == "--csv") csvPath = next();
@@ -148,7 +148,8 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const pviz::Error& e) {
-    std::cerr << e.what() << '\n';
+    std::cerr << "powerviz_study: " << e.what()
+              << "\nusage: powerviz_study [options] (--help lists them)\n";
     return 2;
   }
 
@@ -161,9 +162,6 @@ int main(int argc, char** argv) {
   } else if (phase == 3) {
     algorithms = core::allAlgorithms();
     config.sizes = {32, 64, 128, 256};
-  } else if (phase != 0) {
-    std::cerr << "phase must be 1, 2 or 3\n";
-    return 2;
   }
 
   core::Study study(config);
