@@ -16,7 +16,6 @@
 #include "telemetry/event_ring.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/slo_tracker.h"
-#include "util/backend.h"
 #include "util/exec_context.h"
 #include "viz/filters/clip_sphere.h"
 #include "viz/filters/contour.h"
@@ -335,22 +334,33 @@ void BM_ExternalFacesArenaReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_ExternalFacesArenaReuse)->Arg(16)->Arg(32);
 
-// --- Backend comparison ---------------------------------------------
+// --- Pool-width comparison ------------------------------------------
 //
-// The same kernel pinned to each execution backend (see DESIGN §11) at
-// the study-scale 128³/256³ tiers.  Both backends run the same SoA row
-// sweeps and are bit-identical, so the delta is pure dispatch cost: the
+// The same kernel at two pool widths (see DESIGN §11) at the study-scale
+// 128³/256³ tiers: the `serial` row on a one-thread pool, the `threaded`
+// row on the shared hardware-width pool.  Both run the same SoA row
+// sweeps over the same chunks and are bit-identical, so the delta is the
 // pool's parallel speedup over one thread.  Names land in
-// BENCH_kernels.json as BM_<Kernel>Backend/<backend>/<size> — the
-// per-backend columns the bench table in the README is built from.
+// BENCH_kernels.json as BM_<Kernel>Backend/<serial|threaded>/<size> —
+// the per-width columns the bench table in the README is built from
+// (the names predate the pool-width-only dispatch and are kept so the
+// committed table stays comparable).
 
-void BM_ContourBackend(benchmark::State& state, exec::BackendKind kind) {
+// The pool a per-width row runs on.  As for ThreadPool's constructor,
+// width 0 means the hardware width: the shared pool above.
+constexpr unsigned kOneThread = 1;
+constexpr unsigned kHardware = 0;
+util::ThreadPool& poolOfWidth(unsigned width) {
+  static util::ThreadPool single(kOneThread);
+  return width == kOneThread ? single : pool();
+}
+
+void BM_ContourBackend(benchmark::State& state, unsigned width) {
   const vis::UniformGrid& g = grid(state.range(0));
   vis::ContourFilter filter;
   filter.setIsovalues(
       vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
-  util::ExecutionContext ctx(pool());
-  ctx.setBackend(exec::backendFor(kind));
+  util::ExecutionContext ctx(poolOfWidth(width));
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -358,33 +368,30 @@ void BM_ContourBackend(benchmark::State& state, exec::BackendKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * g.numCells() * 3);
 }
-BENCHMARK_CAPTURE(BM_ContourBackend, serial, exec::BackendKind::Serial)
+BENCHMARK_CAPTURE(BM_ContourBackend, serial, kOneThread)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ContourBackend, threaded, exec::BackendKind::Threaded)
+BENCHMARK_CAPTURE(BM_ContourBackend, threaded, kHardware)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_ThresholdBackend(benchmark::State& state, exec::BackendKind kind) {
+void BM_ThresholdBackend(benchmark::State& state, unsigned width) {
   const vis::UniformGrid& g = grid(state.range(0));
   vis::ThresholdFilter filter;
   filter.setRange(1.2, 2.2);
-  util::ExecutionContext ctx(pool());
-  ctx.setBackend(exec::backendFor(kind));
+  util::ExecutionContext ctx(poolOfWidth(width));
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(filter.run(ctx, g, "energy").kept.numCells());
   }
   state.SetItemsProcessed(state.iterations() * g.numCells());
 }
-BENCHMARK_CAPTURE(BM_ThresholdBackend, serial, exec::BackendKind::Serial)
+BENCHMARK_CAPTURE(BM_ThresholdBackend, serial, kOneThread)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ThresholdBackend, threaded, exec::BackendKind::Threaded)
+BENCHMARK_CAPTURE(BM_ThresholdBackend, threaded, kHardware)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_ExternalFacesBackend(benchmark::State& state,
-                             exec::BackendKind kind) {
+void BM_ExternalFacesBackend(benchmark::State& state, unsigned width) {
   const vis::UniformGrid& g = grid(state.range(0));
-  util::ExecutionContext ctx(pool());
-  ctx.setBackend(exec::backendFor(kind));
+  util::ExecutionContext ctx(poolOfWidth(width));
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -392,18 +399,16 @@ void BM_ExternalFacesBackend(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * g.numCells());
 }
-BENCHMARK_CAPTURE(BM_ExternalFacesBackend, serial, exec::BackendKind::Serial)
+BENCHMARK_CAPTURE(BM_ExternalFacesBackend, serial, kOneThread)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExternalFacesBackend, threaded,
-                  exec::BackendKind::Threaded)
+BENCHMARK_CAPTURE(BM_ExternalFacesBackend, threaded, kHardware)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
+void BM_ClipSphereBackend(benchmark::State& state, unsigned width) {
   const vis::UniformGrid& g = grid(state.range(0));
   vis::ClipSphereFilter filter;
   filter.setSphere(g.bounds().center(), 0.3);
-  util::ExecutionContext ctx(pool());
-  ctx.setBackend(exec::backendFor(kind));
+  util::ExecutionContext ctx(poolOfWidth(width));
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -411,9 +416,9 @@ void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * g.numCells());
 }
-BENCHMARK_CAPTURE(BM_ClipSphereBackend, serial, exec::BackendKind::Serial)
+BENCHMARK_CAPTURE(BM_ClipSphereBackend, serial, kOneThread)
     ->Arg(128)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ClipSphereBackend, threaded, exec::BackendKind::Threaded)
+BENCHMARK_CAPTURE(BM_ClipSphereBackend, threaded, kHardware)
     ->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_BvhBuild(benchmark::State& state) {

@@ -31,6 +31,8 @@
 //
 // Environment knobs: PVIZ_LOADGEN_CLIENTS, PVIZ_LOADGEN_REQUESTS
 // (per client), PVIZ_LOADGEN_SIZE override the defaults (8, 40, 16).
+// Knobs and flags are range-checked; a bad value, a flag without its
+// value or an unknown flag prints a usage line and exits 2.
 #include <sys/resource.h>
 
 #include <atomic>
@@ -47,6 +49,7 @@
 #include "service/chaos.h"
 #include "service/client.h"
 #include "service/server.h"
+#include "util/error.h"
 #include "util/options.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -189,30 +192,51 @@ void chaosGarbage(const std::string& host, int port, ChaosOutcome& out,
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   int port = -1;  // -1 = spin up an in-process server
-  int clients = benchutil::envInt("PVIZ_LOADGEN_CLIENTS", 8);
-  int requestsPerClient = benchutil::envInt("PVIZ_LOADGEN_REQUESTS", 40);
+  int clients = 8;
+  int requestsPerClient = 40;
+  vis::Id size = 16;
   bool chaos = false;
   int fleetWorkers = 0;  // > 0: spawn a worker fleet instead
   std::string serveBin;
-  const vis::Id size =
-      static_cast<vis::Id>(benchutil::envInt("PVIZ_LOADGEN_SIZE", 16));
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return "";
-      }
-      return argv[++i];
+  const char* const usageLine =
+      "usage: service_loadgen [--port N] [--host H] [--clients N] "
+      "[--requests N] [--chaos] [--fleet N] [--serve-bin PATH]\n";
+  try {
+    // The environment knobs take the flags' ranges (the size the wire's);
+    // a flag overrides its knob.
+    const auto knob = [](const char* name, std::int64_t fallback,
+                         std::int64_t lo, std::int64_t hi) {
+      const char* value = std::getenv(name);
+      return value != nullptr ? util::parseBounded(value, name, lo, hi)
+                              : fallback;
     };
-    if (arg == "--port") port = static_cast<int>(util::parseInt(next(), "--port"));
-    else if (arg == "--host") host = next();
-    else if (arg == "--clients") clients = static_cast<int>(util::parseInt(next(), "--clients"));
-    else if (arg == "--requests") requestsPerClient = static_cast<int>(util::parseInt(next(), "--requests"));
-    else if (arg == "--chaos") chaos = true;
-    else if (arg == "--fleet") fleetWorkers = static_cast<int>(util::parseInt(next(), "--fleet"));
-    else if (arg == "--serve-bin") serveBin = next();
+    clients = static_cast<int>(knob("PVIZ_LOADGEN_CLIENTS", clients, 1, 256));
+    requestsPerClient = static_cast<int>(knob(
+        "PVIZ_LOADGEN_REQUESTS", requestsPerClient, 1, util::kMaxIntFlag));
+    size = knob("PVIZ_LOADGEN_SIZE", size, 1, 1 << 20);
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) throw Error(arg + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "-h" || arg == "--help") {
+        std::cout << usageLine;
+        return 0;
+      }
+      if (arg == "--port") port = static_cast<int>(util::parseBounded(next(), "--port", 0, 65535));
+      else if (arg == "--host") host = next();
+      else if (arg == "--clients") clients = static_cast<int>(util::parseBounded(next(), "--clients", 1, 256));
+      else if (arg == "--requests") requestsPerClient = static_cast<int>(util::parseBounded(next(), "--requests", 1, util::kMaxIntFlag));
+      else if (arg == "--chaos") chaos = true;
+      else if (arg == "--fleet") fleetWorkers = static_cast<int>(util::parseBounded(next(), "--fleet", 0, 64));
+      else if (arg == "--serve-bin") serveBin = next();
+      else throw Error("unknown option '" + arg + "'");
+    }
+  } catch (const Error& e) {
+    std::cerr << "service_loadgen: " << e.what() << '\n' << usageLine;
+    return 2;
   }
 
   benchutil::printBanner(

@@ -168,36 +168,22 @@ vis::ParticleAdvectionFilter advectionFor(const AlgorithmParams& params) {
 
 vis::KernelProfile runOnGrid(util::ExecutionContext& ctx, Algorithm algorithm,
                              const vis::UniformGrid& grid,
-                             const AlgorithmParams& params, int& launches) {
+                             const AlgorithmParams& params) {
   const vis::Field& energy = grid.field("energy");
   vis::KernelProfile profile;
 
   switch (algorithm) {
-    case Algorithm::Contour: {
-      profile = contourFor(energy, params).run(ctx, grid, "energy").profile;
-      launches = 3 * params.isovalueCount;
-      break;
-    }
-    case Algorithm::Threshold: {
-      profile = thresholdFor(energy, params).run(ctx, grid, "energy").profile;
-      launches = 3;
-      break;
-    }
-    case Algorithm::SphericalClip: {
-      profile = clipFor(grid, params).run(ctx, grid, "energy").profile;
-      launches = 5;
-      break;
-    }
-    case Algorithm::Isovolume: {
-      profile = isovolumeFor(energy, params).run(ctx, grid, "energy").profile;
-      launches = 9;
-      break;
-    }
+    case Algorithm::Contour:
+      return contourFor(energy, params).run(ctx, grid, "energy").profile;
+    case Algorithm::Threshold:
+      return thresholdFor(energy, params).run(ctx, grid, "energy").profile;
+    case Algorithm::SphericalClip:
+      return clipFor(grid, params).run(ctx, grid, "energy").profile;
+    case Algorithm::Isovolume:
+      return isovolumeFor(energy, params).run(ctx, grid, "energy").profile;
     case Algorithm::Slice: {
       vis::SliceFilter filter;  // default: three axis planes
-      profile = filter.run(ctx, grid, "energy").profile;
-      launches = 12;
-      break;
+      return filter.run(ctx, grid, "energy").profile;
     }
     case Algorithm::ParticleAdvection: {
       vis::ParticleAdvectionFilter filter = advectionFor(params);
@@ -210,12 +196,9 @@ vis::KernelProfile runOnGrid(util::ExecutionContext& ctx, Algorithm algorithm,
         // standalone dataset) degenerates to a steady window.
         const std::string& begin =
             grid.hasField("velocity_prev") ? "velocity_prev" : "velocity";
-        profile = filter.run(ctx, grid, begin, "velocity").profile;
-      } else {
-        profile = filter.run(ctx, grid, "velocity").profile;
+        return filter.run(ctx, grid, begin, "velocity").profile;
       }
-      launches = 2;
-      break;
+      return filter.run(ctx, grid, "velocity").profile;
     }
     case Algorithm::RayTracing: {
       vis::RayTracer tracer;
@@ -230,7 +213,6 @@ vis::KernelProfile runOnGrid(util::ExecutionContext& ctx, Algorithm algorithm,
       for (auto& phase : profile.phases) {
         if (phase.name == "trace") phase.scaleWork(scale);
       }
-      launches = 4 + params.cameraCount;
       break;
     }
     case Algorithm::VolumeRendering: {
@@ -244,7 +226,6 @@ vis::KernelProfile runOnGrid(util::ExecutionContext& ctx, Algorithm algorithm,
       for (auto& phase : profile.phases) {
         if (phase.name == "ray-march") phase.scaleWork(scale);
       }
-      launches = params.cameraCount;
       break;
     }
   }
@@ -255,29 +236,24 @@ vis::KernelProfile runOnDomain(util::ExecutionContext& ctx,
                                Algorithm algorithm,
                                vis::MultiBlockGrid& domain,
                                const vis::UniformGrid& grid,
-                               const AlgorithmParams& params, int& launches) {
+                               const AlgorithmParams& params) {
   const vis::Field& energy = grid.field("energy");
   switch (algorithm) {
     case Algorithm::Contour:
-      launches = 3 * params.isovalueCount;
       return vis::runContour(ctx, domain, contourFor(energy, params), "energy")
           .profile;
     case Algorithm::Threshold:
-      launches = 3;
       return vis::runThreshold(ctx, domain, thresholdFor(energy, params),
                                "energy")
           .profile;
     case Algorithm::SphericalClip:
-      launches = 5;
       return vis::runClipSphere(ctx, domain, clipFor(grid, params), "energy")
           .profile;
     case Algorithm::Isovolume:
-      launches = 9;
       return vis::runIsovolume(ctx, domain, isovolumeFor(energy, params),
                                "energy")
           .profile;
     case Algorithm::Slice: {
-      launches = 12;
       vis::SliceFilter filter;  // default: three axis planes
       return vis::runSlice(ctx, domain, filter, "energy").profile;
     }
@@ -291,7 +267,7 @@ vis::KernelProfile runOnDomain(util::ExecutionContext& ctx,
         stitched = domain.stitchGlobal(ctx);
       }
       vis::KernelProfile profile =
-          runOnGrid(ctx, algorithm, stitched, params, launches);
+          runOnGrid(ctx, algorithm, stitched, params);
       profile.phases.push_back(
           vis::blockStitchPhase(domain.lastStitch().bytes));
       return profile;
@@ -300,6 +276,20 @@ vis::KernelProfile runOnDomain(util::ExecutionContext& ctx,
 }
 
 }  // namespace
+
+int launchesFor(Algorithm algorithm, const AlgorithmParams& params) {
+  switch (algorithm) {
+    case Algorithm::Contour: return 3 * params.isovalueCount;
+    case Algorithm::Threshold: return 3;
+    case Algorithm::SphericalClip: return 5;
+    case Algorithm::Isovolume: return 9;
+    case Algorithm::Slice: return 12;
+    case Algorithm::ParticleAdvection: return 2;
+    case Algorithm::RayTracing: return 4 + params.cameraCount;
+    case Algorithm::VolumeRendering: return params.cameraCount;
+  }
+  return 0;
+}
 
 vis::Id defaultBlockCount() {
   static const vis::Id value = envId("POWERVIZ_BLOCKS", 1, 1, 4096);
@@ -316,8 +306,6 @@ vis::KernelProfile runAlgorithm(util::ExecutionContext& ctx,
                                 const vis::UniformGrid& grid,
                                 const AlgorithmParams& params) {
   vis::KernelProfile profile;
-  int launches = 0;
-
   if (params.blockCount > 1) {
     vis::MultiBlockGrid domain = vis::MultiBlockGrid::partition(
         grid, params.blockCount, params.ghostLayers);
@@ -325,13 +313,14 @@ vis::KernelProfile runAlgorithm(util::ExecutionContext& ctx,
       auto exchangeScope = ctx.phase("ghost-exchange");
       domain.exchangeGhosts(ctx);
     }
-    profile = runOnDomain(ctx, algorithm, domain, grid, params, launches);
+    profile = runOnDomain(ctx, algorithm, domain, grid, params);
     profile.phases.push_back(vis::ghostExchangePhase(domain.lastExchange()));
   } else {
-    profile = runOnGrid(ctx, algorithm, grid, params, launches);
+    profile = runOnGrid(ctx, algorithm, grid, params);
   }
 
-  profile.phases.push_back(frameworkOverheadPhase(launches));
+  profile.phases.push_back(
+      frameworkOverheadPhase(launchesFor(algorithm, params)));
   return profile;
 }
 

@@ -59,8 +59,8 @@ std::vector<Algorithm> parseAlgorithmList(const std::string& csv);
 
 /// Process-default multi-block decomposition, read once from
 /// POWERVIZ_BLOCKS / POWERVIZ_GHOST (1 block, 1 ghost layer when
-/// unset).  Mirrors the POWERVIZ_BACKEND precedence: an explicit
-/// request/CLI value always overrides the environment.
+/// unset).  An explicit request/CLI value always overrides the
+/// environment.
 vis::Id defaultBlockCount();
 vis::Id defaultGhostLayers();
 
@@ -128,6 +128,11 @@ vis::KernelProfile runAlgorithm(util::ExecutionContext& ctx,
                                 Algorithm algorithm,
                                 const vis::UniformGrid& grid,
                                 const AlgorithmParams& params = {});
+
+/// Worklet launches one run of `algorithm` dispatches — the count its
+/// framework-overhead phase is charged for, the same with or without a
+/// multi-block decomposition.
+int launchesFor(Algorithm algorithm, const AlgorithmParams& params);
 
 /// The framework-overhead phase for `launches` worklet dispatches;
 /// exposed for tests.

@@ -55,8 +55,8 @@ std::string workKey(Algorithm algorithm, vis::Id size,
                sampledCameraCount, blockCount, ghostLayers] = params;
   using std::to_string;
   // Decomposition (|b..g..) changes the profile through its ghost-exchange
-  // and block-stitch phases; the execution backend is no parameter at
-  // all (profiles are backend-invariant).
+  // and block-stitch phases; the pool width is no parameter at all
+  // (profiles are pool-width-invariant).
   return "v" + to_string(kProfileSchemaVersion) + '|' +
          algorithmToken(algorithm) + '|' + to_string(size) + "|iso" +
          to_string(isovalueCount) + "|thr" + number(thresholdLo) + ',' +

@@ -7,7 +7,6 @@
 #include "core/execution_sim.h"
 #include "sim/cloverleaf.h"
 #include "telemetry/energy_attribution.h"
-#include "util/backend.h"
 #include "util/error.h"
 #include "util/exec_context.h"
 #include "util/log.h"
@@ -18,10 +17,7 @@ ServiceEngine::ServiceEngine(EngineConfig config)
     : config_(std::move(config)),
       study_(config_.study),
       advisor_(config_.study.machine),
-      cache_(config_.cacheEntries, config_.cacheShards) {
-  // A bad configured backend should fail at boot, not per request.
-  if (!config_.backend.empty()) exec::parseBackendToken(config_.backend);
-}
+      cache_(config_.cacheEntries, config_.cacheShards) {}
 
 Request ServiceEngine::normalize(const Request& request) const {
   Request out = request;
@@ -48,18 +44,6 @@ ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
                "stats/metrics/trace/events/fleet requests are answered by the "
                "server, not the engine");
   const Request request = normalize(rawRequest);
-  // Backend precedence: request field > engine config > process default.
-  // Selected before the cache lookup for uniformity, though it cannot
-  // affect the key — backends are bit-identical, so every backend maps
-  // to the same cache entry.
-  if (!request.backend.empty()) {
-    ctx.setBackend(exec::backendFor(exec::parseBackendToken(request.backend)));
-  } else if (!config_.backend.empty()) {
-    ctx.setBackend(
-        exec::backendFor(exec::parseBackendToken(config_.backend)));
-  } else {
-    ctx.setBackend(exec::defaultBackend());
-  }
   const std::string key = canonicalCacheKey(request, config_.study.params);
 
   if (!key.empty()) {

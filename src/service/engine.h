@@ -42,11 +42,6 @@ struct EngineConfig {
   /// sleeps a request worker, so an unbounded value lets one client
   /// park the whole worker pool.
   double maxPingDelayMs = 10000.0;
-  /// Execution backend for requests that don't name one ("serial" /
-  /// "threaded"; empty = process default, i.e.
-  /// POWERVIZ_BACKEND or threaded).  A request's own `backend` field
-  /// overrides this per request.
-  std::string backend;
 };
 
 class ServiceEngine {

@@ -4,7 +4,6 @@
 #include <limits>
 #include <sstream>
 
-#include "util/backend.h"
 #include "util/error.h"
 #include "viz/filters/particle_advection.h"
 
@@ -100,7 +99,6 @@ Json toJson(const Request& request) {
   if (request.parentSpan != 0) {
     out.set("parent_span", static_cast<double>(request.parentSpan));
   }
-  if (!request.backend.empty()) out.set("backend", request.backend);
   switch (request.op) {
     case Op::Ping:
       if (request.delayMs > 0.0) out.set("delay_ms", request.delayMs);
@@ -178,10 +176,6 @@ Request requestFromJson(const Json& json) {
       intField(json, "trace_id", 0, kMaxExactInt));
   request.parentSpan = static_cast<std::uint64_t>(
       intField(json, "parent_span", 0, kMaxExactInt));
-  request.backend = stringField(json, "backend", "");
-  if (!request.backend.empty()) {
-    exec::parseBackendToken(request.backend);  // reject unknown tokens early
-  }
 
   if (request.op == Op::TraceDump) {
     if (const Json* clear = json.find("clear")) {
@@ -494,7 +488,7 @@ std::string canonicalCacheKey(const Request& request,
   }
   // The kernel part is the Study's own work key, so the result cache
   // forks exactly where the profile does: every parameter override but
-  // the advection schedule, never the backend or trace context.
+  // the advection schedule, never the trace context.
   const core::AlgorithmParams params = paramsFor(request, base);
   std::ostringstream key;
   key.precision(17);

@@ -39,7 +39,8 @@
 //                 reroute to the next worker on the ring instead of
 //                 queueing blind
 //
-// Request fields (unknown fields are ignored; snake_case on the wire):
+// Request fields (snake_case on the wire; unknown fields are ignored,
+// including the retired `backend` and `advect_schedule` keys):
 //   {"op":"classify","id":"42","algorithm":"contour","size":64,
 //    "caps":[120,80,40],"cycles":10}
 //   {"op":"study","algorithms":["contour","slice"],"sizes":[32,64],
@@ -122,8 +123,8 @@ struct Request {
   // in its trace buffer for a later `trace_dump`.  parent_span is the
   // span id of the coordinator's dispatch span, recorded on the request
   // span so a merged trace keeps the causal edge.  Both are excluded
-  // from the cache key like `trace` and `backend` — tracing a request
-  // must not fork the result cache.
+  // from the cache key like `trace` — tracing a request must not fork
+  // the result cache.
   std::uint64_t traceId = 0;
   std::uint64_t parentSpan = 0;
 
@@ -134,13 +135,6 @@ struct Request {
   /// events: cap on the number of ring entries returned, newest last
   /// (0 = server default).
   int eventsLimit = 0;
-
-  /// Execution backend for this request's kernels:
-  /// "serial"/"threaded", or empty for the server's
-  /// default.  Valid on any op; not part of the cache key — backends
-  /// are bit-identical by contract, so the same request on a different
-  /// backend must hit the same cache entry.
-  std::string backend;
 
   // Particle advection overrides, valid on the single-kernel ops
   // (characterize / classify / budget) when algorithm == advection
@@ -155,7 +149,7 @@ struct Request {
   // (characterize / classify / budget / study).  Zero = server default.
   // Outputs are block-count-invariant but the *profile* gains
   // ghost-exchange / block-stitch phases, so both fields fork the cache
-  // key (unlike `backend`, which forks neither output nor profile).
+  // key.
   vis::Id blocks = 0;  ///< k-slab block count (0 = server default)
   vis::Id ghost = 0;   ///< ghost layers per block side (0 = server default)
 };

@@ -3,17 +3,11 @@
 #include <bit>
 #include <sstream>
 
-#include "util/backend.h"
-
 namespace pviz::util {
 
 namespace {
 constexpr std::size_t kMinSizeClass = 4096;  // one page; smaller asks pool up
 }  // namespace
-
-unsigned ExecutionContext::concurrency() const noexcept {
-  return backend_->concurrency(*pool_);
-}
 
 std::size_t ScratchArena::sizeClass(std::size_t bytes) noexcept {
   if (bytes <= kMinSizeClass) return kMinSizeClass;

@@ -42,14 +42,6 @@
 #include "util/thread_id.h"
 #include "util/thread_pool.h"
 
-namespace pviz::exec {
-// See util/backend.h.  Forward-declared so exec_context.h stays the
-// bottom of the include graph; backend.h includes this header for
-// CancelToken.
-class Backend;
-const Backend& defaultBackend() noexcept;
-}  // namespace pviz::exec
-
 namespace pviz::util {
 
 /// Thrown by CancelToken::throwIfCancelled() when a run is cancelled or
@@ -317,21 +309,9 @@ class ExecutionContext {
   CancelToken& cancel() noexcept { return cancel_; }
   PhaseTracer& tracer() noexcept { return tracer_; }
 
-  /// The execution backend this context's loops dispatch through.
-  /// Defaults to exec::defaultBackend() (POWERVIZ_BACKEND or threaded);
-  /// the service engine re-points it per request.  Backends are shared
-  /// immutable singletons, so switching is just a pointer store — but
-  /// like the rest of the context it is externally synchronized: set it
-  /// between runs, not while a kernel is in flight.
-  const exec::Backend& backend() const noexcept { return *backend_; }
-  void setBackend(const exec::Backend& backend) noexcept {
-    backend_ = &backend;
-  }
-
-  /// Worker parallelism the backend will actually use on this context's
-  /// pool (1 for the serial backend).  Kernels sizing partitions must
-  /// ask this, never the pool directly — the backend is the authority.
-  unsigned concurrency() const noexcept;
+  /// Threads that join a loop on this context's pool.  Kernels sizing
+  /// partitions ask this, never the pool directly.
+  unsigned concurrency() const noexcept { return pool_->concurrency(); }
 
   /// Poll the cancel token; throws CancelledError when due.
   void checkCancelled() { cancel_.throwIfCancelled(); }
@@ -398,7 +378,6 @@ class ExecutionContext {
 
  private:
   ThreadPool* pool_;
-  const exec::Backend* backend_ = &exec::defaultBackend();
   ScratchArena arena_;
   CancelToken cancel_;
   PhaseTracer tracer_;

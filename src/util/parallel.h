@@ -5,20 +5,20 @@
 // variable-sized output build on (count → scan → write).
 //
 // Every primitive takes an ExecutionContext: it dispatches chunks
-// through the context's exec::Backend (serial / threaded —
-// see util/backend.h) onto the context's pool and polls the context's
-// CancelToken at chunk boundaries, so a cancelled run unwinds at the
-// next chunk edge (the pool captures the CancelledError, drains the
-// remaining chunks, and rethrows in the caller).  The one exception is
-// the context-free parallelFor at the bottom of this file, which runs
-// on ThreadPool::global() with the process-default backend and no
-// cancellation; it serves the proxy simulation (src/sim), whose
-// generators are called without a context.
+// straight onto the context's pool and polls the context's CancelToken
+// at chunk boundaries, so a cancelled run unwinds at the next chunk edge
+// (the pool captures the CancelledError, drains the remaining chunks,
+// and rethrows in the caller).  A one-thread pool runs the same chunks
+// in order on the calling thread, so it polls at the same edges.  The
+// one exception is the context-free parallelFor at the bottom of this
+// file, which runs on ThreadPool::global() with no cancellation; it
+// serves the proxy simulation (src/sim), whose generators are called
+// without a context.
 //
 // Determinism contract: for a fixed input, every primitive here produces
-// bit-identical results on every backend, pool size, and schedule.  The
-// backend only chooses who executes a chunk; chunk boundaries, per-chunk
-// arithmetic, and merge order are fixed by the primitive itself.
+// bit-identical results on every pool width and schedule.  The pool only
+// chooses who executes a chunk; chunk boundaries, per-chunk arithmetic,
+// and merge order are fixed by the primitive itself.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/backend.h"
 #include "util/exec_context.h"
 #include "util/thread_pool.h"
 
@@ -47,53 +46,36 @@ inline void pollCancel(CancelToken* cancel) {
   if (cancel != nullptr) cancel->throwIfCancelled();
 }
 
-/// Hand a chunked loop to the backend, type-erasing `f(b, e)` through
-/// the same thunk pattern ThreadPool uses (no std::function).
-template <typename ChunkFunc>
-void dispatchChunks(const exec::Backend& backend, ThreadPool& pool,
-                    CancelToken* cancel, std::int64_t begin, std::int64_t end,
-                    std::int64_t grain, ChunkFunc&& f) {
-  using Stored = std::remove_reference_t<ChunkFunc>;
-  backend.forChunks(
-      pool, cancel, begin, end, grain,
-      const_cast<void*>(static_cast<const void*>(std::addressof(f))),
-      [](void* env, std::int64_t b, std::int64_t e) {
-        (*static_cast<Stored*>(env))(b, e);
-      });
-}
-
 /// The body shared by both parallelFor forms.
 template <typename Func>
-void parallelForOn(const exec::Backend& backend, ThreadPool& pool,
-                   CancelToken* cancel, std::int64_t begin, std::int64_t end,
-                   Func&& f, std::int64_t grain) {
-  dispatchChunks(backend, pool, cancel, begin, end, grain,
-                 [&f, cancel](std::int64_t b, std::int64_t e) {
-                   pollCancel(cancel);
-                   for (std::int64_t i = b; i < e; ++i) f(i);
-                 });
+void parallelForOn(ThreadPool& pool, CancelToken* cancel, std::int64_t begin,
+                   std::int64_t end, Func&& f, std::int64_t grain) {
+  pool.parallelFor(begin, end, grain,
+                   [&f, cancel](std::int64_t b, std::int64_t e) {
+                     pollCancel(cancel);
+                     for (std::int64_t i = b; i < e; ++i) f(i);
+                   });
 }
 
 }  // namespace detail
 
-// ---- context-taking forms (backend dispatch + chunk cancellation) ------
+// ---- context-taking forms (pool dispatch + chunk cancellation) ---------
 
-/// Run `f(i)` for every i in [begin, end) through the context's backend.
+/// Run `f(i)` for every i in [begin, end) on the context's pool.
 template <typename Func>
 void parallelFor(ExecutionContext& ctx, std::int64_t begin, std::int64_t end,
                  Func&& f, std::int64_t grain = kDefaultGrain) {
-  detail::parallelForOn(ctx.backend(), ctx.pool(), &ctx.cancel(), begin, end,
+  detail::parallelForOn(ctx.pool(), &ctx.cancel(), begin, end,
                         std::forward<Func>(f), grain);
 }
 
-/// Run `f(chunkBegin, chunkEnd)` over [begin, end) through the context's
-/// backend.
+/// Run `f(chunkBegin, chunkEnd)` over [begin, end) on the context's pool.
 template <typename Func>
 void parallelForChunks(ExecutionContext& ctx, std::int64_t begin,
                        std::int64_t end, Func&& f,
                        std::int64_t grain = kDefaultGrain) {
   CancelToken* cancel = &ctx.cancel();
-  detail::dispatchChunks(ctx.backend(), ctx.pool(), cancel, begin, end, grain,
+  ctx.pool().parallelFor(begin, end, grain,
                          [&f, cancel](std::int64_t b, std::int64_t e) {
                            detail::pollCancel(cancel);
                            f(b, e);
@@ -102,28 +84,21 @@ void parallelForChunks(ExecutionContext& ctx, std::int64_t begin,
 
 /// Run `f(block, blockBegin, blockEnd)` once for every block of [begin,
 /// end), where block b is [begin + b·grain, min(end, begin + (b+1)·grain)).
-/// A dispatcher may hand out coarser chunks than `grain` (the pool merges
-/// the whole range when running inline or nested), so each dispatched
-/// chunk is re-cut here on block boundaries: which indices form a block —
-/// and so anything a caller accumulates per block — is fixed by `grain`
-/// alone, never by who executed which chunk.
+/// The pool's chunks are exactly these blocks at every width, inline or
+/// not, so which indices form a block — and so anything a caller
+/// accumulates per block — is fixed by `grain` alone, never by who
+/// executed which chunk.
 template <typename Func>
 void parallelForBlocks(ExecutionContext& ctx, std::int64_t begin,
                        std::int64_t end, Func&& f,
                        std::int64_t grain = kDefaultGrain) {
   PVIZ_REQUIRE(grain > 0, "parallelForBlocks grain must be positive");
   CancelToken* cancel = &ctx.cancel();
-  detail::dispatchChunks(ctx.backend(), ctx.pool(), cancel, begin, end, grain,
+  ctx.pool().parallelFor(begin, end, grain,
                          [&f, cancel, begin, grain](std::int64_t b,
                                                     std::int64_t e) {
                            detail::pollCancel(cancel);
-                           while (b < e) {
-                             const std::int64_t block = (b - begin) / grain;
-                             const std::int64_t be =
-                                 std::min(e, begin + (block + 1) * grain);
-                             f(block, b, be);
-                             b = be;
-                           }
+                           f((b - begin) / grain, b, e);
                          });
 }
 
@@ -163,9 +138,8 @@ T parallelReduce(ExecutionContext& ctx, std::int64_t begin, std::int64_t end,
 ///
 /// Arrays past one chunk run as a three-phase tree scan (per-chunk sums →
 /// serial scan of the sums → parallel per-chunk fix-up); smaller inputs —
-/// or single-threaded execution (the serial backend, a one-thread pool),
-/// where the extra passes only cost bandwidth — take a single serial
-/// sweep.  Both paths are exact integer arithmetic, so the result is
+/// or a one-thread pool, where the extra passes only cost bandwidth —
+/// take a single serial sweep.  Both paths are exact integer arithmetic, so the result is
 /// identical everywhere.
 inline std::int64_t exclusiveScan(ExecutionContext& ctx, std::int64_t* counts,
                                   std::int64_t n) {
@@ -185,8 +159,8 @@ inline std::int64_t exclusiveScan(ExecutionContext& ctx, std::int64_t* counts,
   const std::size_t chunkCount =
       static_cast<std::size_t>((n + kScanGrain - 1) / kScanGrain);
   std::vector<std::int64_t> chunkSums(chunkCount, 0);
-  detail::dispatchChunks(
-      ctx.backend(), ctx.pool(), cancel, 0, n, kScanGrain,
+  ctx.pool().parallelFor(
+      0, n, kScanGrain,
       [&, cancel](std::int64_t b, std::int64_t e) {
         detail::pollCancel(cancel);
         std::int64_t sum = 0;
@@ -203,8 +177,8 @@ inline std::int64_t exclusiveScan(ExecutionContext& ctx, std::int64_t* counts,
   }
 
   // Phase 3: per-chunk fix-up re-scans each chunk seeded by its offset.
-  detail::dispatchChunks(
-      ctx.backend(), ctx.pool(), cancel, 0, n, kScanGrain,
+  ctx.pool().parallelFor(
+      0, n, kScanGrain,
       [&, cancel](std::int64_t b, std::int64_t e) {
         detail::pollCancel(cancel);
         std::int64_t acc = chunkSums[static_cast<std::size_t>(b / kScanGrain)];
@@ -225,7 +199,7 @@ inline std::int64_t exclusiveScan(ExecutionContext& ctx,
 
 /// Stream-compact the indices in [0, n) where `pred(i)` holds, in
 /// ascending order.  Runs as count → chunk scan → fill; the output is
-/// identical for every backend, pool size, and grain because chunks are
+/// identical for every pool width and grain because chunks are
 /// fixed ranges written at scanned offsets.
 template <typename Pred>
 std::vector<std::int64_t> parallelSelect(ExecutionContext& ctx, std::int64_t n,
@@ -245,7 +219,7 @@ std::vector<std::int64_t> parallelSelect(ExecutionContext& ctx, std::int64_t n,
   const std::size_t chunkCount =
       static_cast<std::size_t>((n + grain - 1) / grain);
   std::vector<std::int64_t> chunkCounts(chunkCount + 1, 0);
-  detail::dispatchChunks(ctx.backend(), ctx.pool(), cancel, 0, n, grain,
+  ctx.pool().parallelFor(0, n, grain,
                          [&, cancel](std::int64_t b, std::int64_t e) {
                            detail::pollCancel(cancel);
                            std::int64_t count = 0;
@@ -257,7 +231,7 @@ std::vector<std::int64_t> parallelSelect(ExecutionContext& ctx, std::int64_t n,
                          });
   const std::int64_t total = exclusiveScan(ctx, chunkCounts);
   out.resize(static_cast<std::size_t>(total));
-  detail::dispatchChunks(ctx.backend(), ctx.pool(), cancel, 0, n, grain,
+  ctx.pool().parallelFor(0, n, grain,
                          [&, cancel](std::int64_t b, std::int64_t e) {
                            detail::pollCancel(cancel);
                            const auto chunk =
@@ -271,15 +245,15 @@ std::vector<std::int64_t> parallelSelect(ExecutionContext& ctx, std::int64_t n,
   return out;
 }
 
-// ---- context-free loop (global pool, default backend, no cancel) -------
+// ---- context-free loop (global pool, no cancel) -------------------------
 
 /// parallelFor over ThreadPool::global() for the proxy simulation, which
 /// generates fields without a context.  Kernels use the context form.
 template <typename Func>
 void parallelFor(std::int64_t begin, std::int64_t end, Func&& f,
                  std::int64_t grain = kDefaultGrain) {
-  detail::parallelForOn(exec::defaultBackend(), ThreadPool::global(), nullptr,
-                        begin, end, std::forward<Func>(f), grain);
+  detail::parallelForOn(ThreadPool::global(), nullptr, begin, end,
+                        std::forward<Func>(f), grain);
 }
 
 }  // namespace pviz::util

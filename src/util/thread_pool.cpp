@@ -81,10 +81,13 @@ void ThreadPool::parallelForImpl(std::int64_t begin, std::int64_t end,
   if (begin >= end) return;
   PVIZ_REQUIRE(grain > 0, "parallelFor grain must be positive");
 
-  // Nested or trivially small loops run inline on the calling thread.
+  // Nested loops, a pool with no worker threads, and ranges of at most
+  // one grain run inline on the calling thread, chunk by chunk.
   const std::int64_t count = end - begin;
   if (insideWorker_ || threads_.empty() || count <= grain) {
-    invoke(ctx, begin, end);
+    for (std::int64_t b = begin; b < end; b += grain) {
+      invoke(ctx, b, std::min(b + grain, end));
+    }
     return;
   }
 

@@ -8,11 +8,17 @@
 //
 // Kernels never call the pool directly: they run on an ExecutionContext
 // built over a pool, and the primitives in util/parallel.h (for, reduce,
-// scan, select, gather) dispatch through the context's backend onto it.
+// scan, select, gather) dispatch straight onto it.  The pool's width is
+// the only parallelism setting: a one-thread pool (`ThreadPool pool(1)`)
+// is the serial reference every other width must match bit for bit.
 //
 // Work is divided into fixed chunks handed out from an atomic cursor, so
 // imbalanced iterations (e.g. marching-cubes cells with wildly different
-// triangle counts) still load-balance across workers.
+// triangle counts) still load-balance across workers.  A loop that runs
+// inline on the calling thread (a one-thread pool, a nested call, or a
+// range of at most one grain) walks the same grain-sized chunks in
+// order, so a body sees the same chunk edges — and the parallel
+// primitives the same cancellation points — at every pool width.
 #pragma once
 
 #include <atomic>
@@ -48,9 +54,10 @@ class ThreadPool {
   /// Number of threads that participate in a loop (workers + caller).
   unsigned concurrency() const { return static_cast<unsigned>(threads_.size()) + 1; }
 
-  /// Run `body(chunkBegin, chunkEnd)` over [begin, end) in chunks of at
-  /// most `grain` iterations.  Blocks until all chunks complete.
-  /// Exceptions thrown by `body` are captured and rethrown (first wins).
+  /// Run `body(chunkBegin, chunkEnd)` over [begin, end) in chunks
+  /// [begin + n·grain, min(end, begin + (n+1)·grain)).  Blocks until all
+  /// chunks complete.  Exceptions thrown by `body` are captured and
+  /// rethrown (first wins); an inline loop stops at the throwing chunk.
   ///
   /// The callable is invoked through a single function-pointer thunk per
   /// chunk — no std::function allocation or double indirection on the

@@ -16,10 +16,10 @@
 // use for per-worker accumulation), not a thread.  A body whose output
 // for range [b, e) depends only on (b, e) and its inputs — with any
 // per-slot storage merged in a slot-independent order afterwards — is
-// therefore bit-identical across backends, pool sizes, and steal
-// interleavings.  On the serial backend (or a 1-slot schedule) the
-// ranges run front-to-back in index order: that is the reference
-// schedule the threaded runs must match.
+// therefore bit-identical across pool widths and steal interleavings.
+// On a one-thread pool (a 1-slot schedule) the ranges run front-to-back
+// in index order: that is the reference schedule every wider pool must
+// match.
 //
 // Stealing invariants:
 //   * every range is executed exactly once: a range leaves a deque only
@@ -41,7 +41,6 @@
 #include <mutex>
 #include <vector>
 
-#include "util/backend.h"
 #include "util/error.h"
 #include "util/exec_context.h"
 #include "util/parallel.h"
@@ -145,16 +144,12 @@ void parallelWorkSteal(ExecutionContext& ctx, std::int64_t count,
     }
   };
 
-  // One dispatch index per slot, grain 1.  The backend may merge the
-  // slot range (serial backend, or a pool running the loop inline), in
-  // which case one thread walks the slots in order — exactly the serial
-  // reference schedule.
-  detail::dispatchChunks(ctx.backend(), ctx.pool(), cancel, 0, slots, 1,
-                         [&](std::int64_t wb, std::int64_t we) {
-                           for (std::int64_t w = wb; w < we; ++w) {
-                             runWorker(w);
-                           }
-                         });
+  // One dispatch index per slot, grain 1.  A pool running the loop
+  // inline (a nested call) runs the slots in order on one thread; which
+  // slot ran a range never shows in the output (see file comment).
+  ctx.pool().parallelFor(0, slots, 1, [&](std::int64_t w, std::int64_t) {
+    runWorker(w);
+  });
 }
 
 }  // namespace pviz::util

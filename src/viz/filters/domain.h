@@ -3,9 +3,8 @@
 // back into the exact global ordering.
 //
 // Every runner is bit-identical to running the same filter on the
-// global grid, for every block count, ghost depth, backend, and pool
-// size.  The argument rests on three facts (DESIGN §13 spells them
-// out):
+// global grid, for every block count, ghost depth, and pool width.  The
+// argument rests on three facts (DESIGN §13 spells them out):
 //
 //   1. k-slab decomposition means block b's local cell order IS the
 //      global cell order restricted to cells [c0*CI*CJ, c1*CI*CJ) — so

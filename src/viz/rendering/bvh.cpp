@@ -66,8 +66,8 @@ void Bvh::build(util::ExecutionContext& ctx, int maxLeafSize,
   if (n == 0) return;
   nodes_.reserve(static_cast<std::size_t>(2 * n));
 
-  // Concurrency comes from the context's backend — no hidden singleton
-  // read, and a serial backend disables the parallel build outright.
+  // Concurrency comes from the context's pool — no hidden singleton
+  // read, and a one-thread pool disables the parallel build outright.
   const unsigned conc = ctx.concurrency();
   if (parallelBuild && conc > 1 && n >= kMinParallelTris) {
     buildParallel(ctx, bd, conc);

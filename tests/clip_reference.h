@@ -2,7 +2,7 @@
 // cut cell is decomposed and clipped through the public clipTetrahedron
 // hook, one cell at a time, and appended in ascending order.  The
 // filters' count → scan → write paths must reproduce it bit for bit on
-// every backend and pool size.
+// every pool width.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -50,9 +50,6 @@ inline void appendClippedCell(const UniformGrid& grid, Id cell,
     clipTetrahedron(pos, c, a, out);
   }
 }
-
-using reftest::ExecConfig;
-using reftest::execConfigs;
 
 /// Bitwise equality without printing megabytes on failure.
 inline void expectIdentical(const TetMesh& got, const TetMesh& want) {

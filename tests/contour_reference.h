@@ -2,7 +2,7 @@
 // time, in ascending cell order for each isovalue in turn, appending each
 // crossed cell's triangles as it goes — no count array, no scan, no row
 // blocks.  The filter's classify → block scan → generate path must
-// reproduce it bit for bit on every backend and pool size.
+// reproduce it bit for bit on every pool width.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,8 +18,6 @@
 
 namespace pviz::vis::contourref {
 
-using reftest::ExecConfig;
-using reftest::execConfigs;
 using reftest::wavyGrid;
 
 struct Reference {

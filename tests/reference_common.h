@@ -1,7 +1,8 @@
 // Shared inputs of the serial-reference tests (clip_reference.h,
 // contour_reference.h, and the threshold and external-faces references
-// in their test files): the oscillating test grid and the execution
-// matrix every filter result is compared on.
+// in their test files) and of the determinism and multi-block suites:
+// the oscillating test grid and the pool widths every result is
+// compared on.
 #pragma once
 
 #include <algorithm>
@@ -11,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/backend.h"
+#include "util/exec_context.h"
 #include "util/thread_pool.h"
 #include "viz/dataset/uniform_grid.h"
 
@@ -43,28 +44,26 @@ bool sameBits(const std::vector<T>& a, const std::vector<T>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
-/// One backend × pool-size configuration.
-struct ExecConfig {
-  unsigned workers;
-  const exec::Backend* backend;
+/// The execution matrix: pools of 1, 2 and the hardware thread count.
+/// Width 1 is the reference — every loop runs its chunks in order on
+/// the calling thread — and every other width must match it bit for
+/// bit.
+inline std::vector<unsigned> poolWidths() {
+  return {1u, 2u, std::max(1u, std::thread::hardware_concurrency())};
+}
 
-  std::string label() const {
-    return std::string(backend->token()) + " backend, pool " +
-           std::to_string(workers);
-  }
-};
+/// SCOPED_TRACE label of a pool width.
+inline std::string poolLabel(unsigned workers) {
+  return "pool " + std::to_string(workers);
+}
 
-/// Every backend × pools of 1, 2 and the hardware thread count.
-inline std::vector<ExecConfig> execConfigs() {
-  std::vector<ExecConfig> out;
-  for (unsigned workers :
-       {1u, 2u, std::max(1u, std::thread::hardware_concurrency())}) {
-    for (const exec::Backend* backend :
-         {&exec::serialBackend(), &exec::threadedBackend()}) {
-      out.push_back({workers, backend});
-    }
-  }
-  return out;
+/// Run `f(ctx)` on a fresh context over a fresh pool of `workers`
+/// participants; nothing global is touched.
+template <typename F>
+auto withPool(unsigned workers, F&& f) {
+  util::ThreadPool pool(workers);
+  util::ExecutionContext ctx(pool);
+  return f(ctx);
 }
 
 }  // namespace pviz::vis::reftest

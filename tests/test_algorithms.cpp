@@ -45,6 +45,44 @@ TEST(Algorithms, FrameworkOverheadScalesWithLaunches) {
   EXPECT_EQ(frameworkOverheadPhase(0).instructions(), 0.0);
 }
 
+TEST(Algorithms, LaunchCountsArePinned) {
+  AlgorithmParams p;  // the paper's 10 isovalues and 50 cameras
+  EXPECT_EQ(launchesFor(Algorithm::Contour, p), 30);
+  EXPECT_EQ(launchesFor(Algorithm::Threshold, p), 3);
+  EXPECT_EQ(launchesFor(Algorithm::SphericalClip, p), 5);
+  EXPECT_EQ(launchesFor(Algorithm::Isovolume, p), 9);
+  EXPECT_EQ(launchesFor(Algorithm::Slice, p), 12);
+  EXPECT_EQ(launchesFor(Algorithm::ParticleAdvection, p), 2);
+  EXPECT_EQ(launchesFor(Algorithm::RayTracing, p), 54);
+  EXPECT_EQ(launchesFor(Algorithm::VolumeRendering, p), 50);
+  p.isovalueCount = 4;
+  p.cameraCount = 7;
+  EXPECT_EQ(launchesFor(Algorithm::Contour, p), 12);
+  EXPECT_EQ(launchesFor(Algorithm::RayTracing, p), 11);
+  EXPECT_EQ(launchesFor(Algorithm::VolumeRendering, p), 7);
+}
+
+TEST(Algorithms, ProfileEndsWithTheLaunchCountsOverhead) {
+  // One launch table for the single-grid and the multi-block path.
+  util::ThreadPool pool(2);
+  util::ExecutionContext ctx(pool);
+  for (vis::Id blocks : {1, 2}) {
+    AlgorithmParams params = lightParams();
+    params.blockCount = blocks;
+    for (Algorithm algorithm : allAlgorithms()) {
+      SCOPED_TRACE(algorithmName(algorithm) + std::string(", blocks ") +
+                   std::to_string(blocks));
+      const vis::KernelProfile profile =
+          runAlgorithm(ctx, algorithm, dataset(), params);
+      ASSERT_FALSE(profile.phases.empty());
+      const vis::WorkProfile want =
+          frameworkOverheadPhase(launchesFor(algorithm, params));
+      EXPECT_EQ(profile.phases.back().name, want.name);
+      EXPECT_EQ(profile.phases.back().instructions(), want.instructions());
+    }
+  }
+}
+
 TEST(Algorithms, CameraSamplingExtrapolatesRenderWork) {
   util::ThreadPool pool;
   util::ExecutionContext ctx(pool);

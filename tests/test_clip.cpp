@@ -222,11 +222,10 @@ TEST(ClipUniformGrid, CutPiecesMatchSerialReferenceOnEveryConfig) {
   }
   ASSERT_GT(reference.numTets(), 0);
 
-  for (const clipref::ExecConfig& config : clipref::execConfigs()) {
-    SCOPED_TRACE(config.label());
-    util::ThreadPool pool(config.workers);
+  for (unsigned workers : reftest::poolWidths()) {
+    SCOPED_TRACE(reftest::poolLabel(workers));
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*config.backend);
     const ClipResult result = clipUniformGrid(ctx, g, clip, w);
     clipref::expectIdentical(result.cutPieces, reference);
   }

@@ -230,11 +230,10 @@ contourref::Reference expectMatchesReferenceOnEveryConfig(
   contourref::Reference reference = contourref::contour(g, "w", isovalues);
   ContourFilter filter;
   filter.setIsovalues(isovalues);
-  for (const contourref::ExecConfig& config : contourref::execConfigs()) {
-    SCOPED_TRACE(config.label());
-    util::ThreadPool pool(config.workers);
+  for (unsigned workers : reftest::poolWidths()) {
+    SCOPED_TRACE(reftest::poolLabel(workers));
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*config.backend);
     contourref::expectMatches(filter.run(ctx, g, "w"), reference);
   }
   return reference;

@@ -17,6 +17,7 @@
 #include <type_traits>
 
 #include "core/study.h"
+#include "reference_common.h"
 #include "service/engine.h"
 #include "service/metrics.h"
 #include "sim/cloverleaf.h"
@@ -131,6 +132,73 @@ TEST(CancelToken, ChunkLoopStopsOnCancellation) {
                    }),
                CancelledError);
   EXPECT_LT(visited.load(), 10 * util::kDefaultGrain);
+}
+
+TEST(CancelToken, ChunkLoopStopsOnCancellationOnOnePool) {
+  // A one-thread pool runs the loop inline but still chunk by chunk, so
+  // it polls at every chunk edge like a wider pool: the first chunk
+  // runs, the second chunk's poll trips, and no chunk after it runs.
+  ThreadPool pool(1);
+  ExecutionContext ctx(pool);
+  ctx.cancel().cancelAfterPolls(1);
+  std::atomic<std::int64_t> visited{0};
+  EXPECT_THROW(util::parallelForChunks(
+                   ctx, 0, 10 * util::kDefaultGrain,
+                   [&](std::int64_t b, std::int64_t e) {
+                     visited.fetch_add(e - b, std::memory_order_relaxed);
+                   }),
+               CancelledError);
+  EXPECT_EQ(visited.load(), util::kDefaultGrain);
+}
+
+TEST(ExecutionContext, ConcurrencyIsThePoolWidth) {
+  for (unsigned workers : {1u, 3u}) {
+    ThreadPool pool(workers);
+    ExecutionContext ctx(pool);
+    EXPECT_EQ(ctx.concurrency(), workers);
+  }
+}
+
+TEST(ExecutionContext, PrimitivesMatchAcrossPoolWidths) {
+  // Scan / select / reduce must be bit-identical on every pool width
+  // (the filter-level equivalence lives in the determinism suite; this
+  // is the primitive-level contract).  The reference is a one-thread
+  // pool.
+  constexpr std::int64_t kN = 100'000;
+  std::vector<std::int64_t> counts(kN);
+  for (std::int64_t i = 0; i < kN; ++i) {
+    counts[static_cast<std::size_t>(i)] = i % 7;
+  }
+  const auto select = [](ExecutionContext& ctx) {
+    return util::parallelSelect(ctx, kN,
+                                [](std::int64_t i) { return i % 13 == 0; });
+  };
+  const auto reduce = [](ExecutionContext& ctx) {
+    return util::parallelReduce(
+        ctx, 0, kN, 0.0,
+        [](double acc, std::int64_t i) {
+          return acc + static_cast<double>(i) * 1e-3;
+        },
+        [](double a, double b) { return a + b; });
+  };
+
+  ThreadPool onePool(1);
+  ExecutionContext reference(onePool);
+  std::vector<std::int64_t> refScan = counts;
+  const std::int64_t refTotal = util::exclusiveScan(reference, refScan);
+  const std::vector<std::int64_t> refSel = select(reference);
+  const double refSum = reduce(reference);
+
+  for (unsigned workers : vis::reftest::poolWidths()) {
+    SCOPED_TRACE(vis::reftest::poolLabel(workers));
+    ThreadPool pool(workers);
+    ExecutionContext ctx(pool);
+    std::vector<std::int64_t> scan = counts;
+    EXPECT_EQ(util::exclusiveScan(ctx, scan), refTotal);
+    EXPECT_EQ(scan, refScan);
+    EXPECT_EQ(select(ctx), refSel);
+    EXPECT_EQ(reduce(ctx), refSum);
+  }
 }
 
 // ---- PhaseTracer --------------------------------------------------------

@@ -149,11 +149,10 @@ ExternalFacesResult referenceExternalFaces(const UniformGrid& grid,
 void expectMatchesReferenceOnEveryConfig(Id3 cells) {
   const UniformGrid g = reftest::wavyGrid(cells);
   const ExternalFacesResult want = referenceExternalFaces(g, "w");
-  for (const reftest::ExecConfig& config : reftest::execConfigs()) {
-    SCOPED_TRACE(config.label());
-    util::ThreadPool pool(config.workers);
+  for (unsigned workers : reftest::poolWidths()) {
+    SCOPED_TRACE(reftest::poolLabel(workers));
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*config.backend);
     const ExternalFacesResult got = extractExternalFaces(ctx, g, "w");
     EXPECT_EQ(got.cellsScanned, want.cellsScanned);
     EXPECT_EQ(got.facesFound, want.facesFound);

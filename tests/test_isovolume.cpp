@@ -184,11 +184,10 @@ TEST(Isovolume, CutPiecesMatchSerialReferenceOnEveryConfig) {
 
   IsovolumeFilter filter;
   filter.setRange(lo, hi);
-  for (const clipref::ExecConfig& config : clipref::execConfigs()) {
-    SCOPED_TRACE(config.label());
-    util::ThreadPool pool(config.workers);
+  for (unsigned workers : reftest::poolWidths()) {
+    SCOPED_TRACE(reftest::poolLabel(workers));
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*config.backend);
     const auto result = filter.run(ctx, g, "w");
     clipref::expectIdentical(result.cutPieces, reference);
     EXPECT_EQ(result.lowClipTets, lowClipTets);
@@ -217,11 +216,10 @@ TEST(Isovolume, VolumeIsMonotoneInTheBand) {
   const std::vector<std::pair<double, double>> bands = {
       {0.1, 0.2},   {0.0, 0.2},   {0.0, 0.45}, {-0.3, 0.45},
       {-0.3, 0.9},  {-0.8, 0.9},  {-0.8, 1.3}, {-1.6, 1.6}};
-  for (const clipref::ExecConfig& config : clipref::execConfigs()) {
-    SCOPED_TRACE(config.label());
-    util::ThreadPool pool(config.workers);
+  for (unsigned workers : reftest::poolWidths()) {
+    SCOPED_TRACE(reftest::poolLabel(workers));
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*config.backend);
     double previous = 0.0;
     for (const auto& [lo, hi] : bands) {
       SCOPED_TRACE("band [" + std::to_string(lo) + ", " +

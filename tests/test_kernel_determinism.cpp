@@ -3,12 +3,11 @@
 //
 // The two-pass (classify → scan → generate) rewrite of the filters must
 // produce byte-identical meshes and images for every execution
-// configuration — both exec backends (serial / threaded) × thread-pool
-// sizes 1, 2, and the hardware default: the compaction lists are in
-// ascending cell order, variable-size output is written at scanned
-// offsets, and the exclusive scan is exact integer arithmetic.  Every
-// configuration is compared byte-for-byte against the serial backend on
-// a one-thread pool.  (The SoA row sweeps are checked against
+// configuration — thread-pool widths 1, 2, and the hardware default:
+// the compaction lists are in ascending cell order, variable-size output
+// is written at scanned offsets, and the exclusive scan is exact integer
+// arithmetic.  Every width is compared byte-for-byte against the
+// one-thread pool.  (The SoA row sweeps are checked against
 // independent cell-by-cell references in the per-filter suites.)
 // The scan/compaction primitives themselves are exercised on their edge
 // cases (empty, single element, all zeros, totals past 2^31) against a
@@ -22,8 +21,8 @@
 #include <tuple>
 #include <vector>
 
+#include "reference_common.h"
 #include "sim/cloverleaf.h"
-#include "util/backend.h"
 #include "util/exec_context.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
@@ -41,57 +40,9 @@
 namespace pviz::vis {
 namespace {
 
-/// Run `f(ctx)` on an execution context over an explicit pool of
-/// `workers` total participants (1 = fully serial) and an explicit exec
-/// backend.  No global state is touched: the context pins the pool and
-/// backend for everything `f` runs.
-template <typename F>
-auto withExec(unsigned workers, const exec::Backend& backend, F&& f) {
-  util::ThreadPool pool(workers);
-  util::ExecutionContext ctx(pool);
-  ctx.setBackend(backend);
-  return f(ctx);
-}
-
-/// Pool-size-only form on the default (threaded) backend.
-template <typename F>
-auto withPool(unsigned workers, F&& f) {
-  return withExec(workers, exec::threadedBackend(), std::forward<F>(f));
-}
-
-std::vector<unsigned> poolSizes() {
-  return {1u, 2u, std::max(1u, std::thread::hardware_concurrency())};
-}
-
-/// One execution configuration the determinism matrix sweeps.
-struct ExecConfig {
-  unsigned workers;
-  const exec::Backend* backend;
-
-  std::string label() const {
-    return std::string(backend->token()) + " backend, pool " +
-           std::to_string(workers);
-  }
-};
-
-/// All backends × pool sizes 1/2/hw.  The reference configuration every
-/// other one must match byte-for-byte is {1, serial}.
-std::vector<ExecConfig> execConfigs() {
-  std::vector<ExecConfig> out;
-  for (unsigned workers : poolSizes()) {
-    for (const exec::Backend* backend :
-         {&exec::serialBackend(), &exec::threadedBackend()}) {
-      out.push_back({workers, backend});
-    }
-  }
-  return out;
-}
-
-/// Reference runner: serial backend, one-thread pool.
-template <typename F>
-auto serialReference(F&& f) {
-  return withExec(1, exec::serialBackend(), std::forward<F>(f));
-}
+using reftest::poolLabel;
+using reftest::poolWidths;
+using reftest::withPool;
 
 void expectIdentical(const TriangleMesh& a, const TriangleMesh& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
@@ -197,17 +148,17 @@ TEST(ExclusiveScan, AllZeros) {
 TEST(ExclusiveScan, TotalsPastTwoToTheThirtyOne) {
   // 2^20 elements of 2^13 each: total 2^33, and every element past index
   // 2^18 has an offset over 2^31 — the scan must carry exact 64-bit sums
-  // on every backend and pool size.
+  // on every pool width.
   const std::size_t n = std::size_t{1} << 20;
   const std::vector<std::int64_t> input(n, 1 << 13);
   std::vector<std::int64_t> reference = input;
   const std::int64_t refTotal = serialScanReference(reference);
   ASSERT_EQ(refTotal, std::int64_t{1} << 33);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
     std::vector<std::int64_t> counts = input;
     const std::int64_t total =
-        withExec(cfg.workers, *cfg.backend, [&](util::ExecutionContext& ctx) {
+        withPool(workers, [&](util::ExecutionContext& ctx) {
           return util::exclusiveScan(ctx, counts);
         });
     EXPECT_EQ(total, refTotal);
@@ -223,11 +174,11 @@ TEST(ExclusiveScan, MatchesSerialReferenceOnEveryConfig) {
   }
   std::vector<std::int64_t> reference = input;
   const std::int64_t refTotal = serialScanReference(reference);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
     std::vector<std::int64_t> counts = input;
     const std::int64_t total =
-        withExec(cfg.workers, *cfg.backend, [&](util::ExecutionContext& ctx) {
+        withPool(workers, [&](util::ExecutionContext& ctx) {
           return util::exclusiveScan(ctx, counts);
         });
     EXPECT_EQ(total, refTotal);
@@ -242,10 +193,10 @@ TEST(ParallelSelect, AscendingAndConfigInvariant) {
   for (std::int64_t i = 0; i < n; ++i) {
     if (pred(i)) reference.push_back(i);
   }
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
     const auto selected =
-        withExec(cfg.workers, *cfg.backend, [&](util::ExecutionContext& ctx) {
+        withPool(workers, [&](util::ExecutionContext& ctx) {
           return util::parallelSelect(ctx, n, pred, /*grain=*/1024);
         });
     EXPECT_EQ(selected, reference);
@@ -262,11 +213,11 @@ TEST(KernelDeterminism, ContourAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "energy").surface;
   };
-  const TriangleMesh reference = serialReference(run);
+  const TriangleMesh reference = withPool(1, run);
   EXPECT_GT(reference.numTriangles(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -277,11 +228,11 @@ TEST(KernelDeterminism, ThresholdAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "energy").kept;
   };
-  const HexSubset reference = serialReference(run);
+  const HexSubset reference = withPool(1, run);
   EXPECT_GT(reference.numCells(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -298,11 +249,11 @@ TEST(KernelDeterminism, ThresholdCellFieldAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "cellv").kept;
   };
-  const HexSubset reference = serialReference(run);
+  const HexSubset reference = withPool(1, run);
   EXPECT_GT(reference.numCells(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -313,11 +264,11 @@ TEST(KernelDeterminism, ClipSphereAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "energy").clipped;
   };
-  const auto reference = serialReference(run);
+  const auto reference = withPool(1, run);
   EXPECT_GT(reference.cellsCut, 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    const auto clipped = withExec(cfg.workers, *cfg.backend, run);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    const auto clipped = withPool(workers, run);
     expectIdentical(clipped.cutPieces, reference.cutPieces);
     expectIdentical(clipped.wholeCells, reference.wholeCells);
     EXPECT_EQ(clipped.cellsIn, reference.cellsIn);
@@ -333,11 +284,11 @@ TEST(KernelDeterminism, IsovolumeAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "energy");
   };
-  const auto ref = serialReference(run);
+  const auto ref = withPool(1, run);
   EXPECT_GT(ref.cutPieces.numTets(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    const auto result = withExec(cfg.workers, *cfg.backend, run);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    const auto result = withPool(workers, run);
     expectIdentical(result.wholeCells, ref.wholeCells);
     expectIdentical(result.cutPieces, ref.cutPieces);
   }
@@ -348,11 +299,11 @@ TEST(KernelDeterminism, ExternalFacesAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return extractExternalFaces(ctx, g, "energy").mesh;
   };
-  const TriangleMesh reference = serialReference(run);
+  const TriangleMesh reference = withPool(1, run);
   EXPECT_GT(reference.numTriangles(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -365,10 +316,10 @@ TEST(KernelDeterminism, RayTracedImageAcrossConfigs) {
     auto result = tracer.run(ctx, g, "energy");
     return result.images.at(0);
   };
-  const Image reference = serialReference(render);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, render), reference);
+  const Image reference = withPool(1, render);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, render), reference);
   }
 }
 
@@ -466,16 +417,14 @@ TEST(KernelDeterminism, PoisonedArenaMatchesFreshContext) {
   const UniformGrid g = sim::makeCloverField(16);
   constexpr std::size_t kLargestClass = std::size_t{1} << 20;
   constexpr int kBlocksPerClass = 16;
-  for (const exec::Backend* backend :
-       {&exec::serialBackend(), &exec::threadedBackend()}) {
-    SCOPED_TRACE(backend->token());
+  for (unsigned workers : {1u, 2u}) {
+    SCOPED_TRACE(poolLabel(workers));
     AllFilterOutputs fresh;
     AllFilterOutputs poisoned;
-    util::ThreadPool pool(2);
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*backend);
     for (const FilterRun& run : everyFilter(g)) {
-      withExec(2, *backend, [&](util::ExecutionContext& freshCtx) {
+      withPool(workers, [&](util::ExecutionContext& freshCtx) {
         run(freshCtx, fresh);
         return 0;
       });
@@ -517,11 +466,11 @@ TEST(KernelDeterminism, DegenerateOneByOneByNGrid) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "v").surface;
   };
-  const TriangleMesh reference = serialReference(run);
+  const TriangleMesh reference = withPool(1, run);
   EXPECT_GT(reference.numTriangles(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -540,12 +489,12 @@ TEST(KernelDeterminism, DegenerateGridEveryFilterEveryConfig) {
                            extractExternalFaces(ctx, g, "v").mesh,
                            clip.run(ctx, g, "v").clipped.wholeCells);
   };
-  const auto reference = serialReference(run);
+  const auto reference = withPool(1, run);
   EXPECT_GT(std::get<0>(reference).numCells(), 0);
   EXPECT_GT(std::get<1>(reference).numTriangles(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    const auto result = withExec(cfg.workers, *cfg.backend, run);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    const auto result = withPool(workers, run);
     expectIdentical(std::get<0>(result), std::get<0>(reference));
     expectIdentical(std::get<1>(result), std::get<1>(reference));
     expectIdentical(std::get<2>(result), std::get<2>(reference));
@@ -563,11 +512,11 @@ TEST(KernelDeterminism, SingleCrossedCell) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "v").surface;
   };
-  const TriangleMesh reference = serialReference(run);
+  const TriangleMesh reference = withPool(1, run);
   EXPECT_EQ(reference.numTriangles(), 1);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -576,10 +525,10 @@ TEST(KernelDeterminism, ZeroCrossedCells) {
       fieldGrid({9, 9, 9}, [](const Vec3&) { return 1.0; });
   ContourFilter filter;
   filter.setIsovalues({5.0});
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
     const TriangleMesh mesh =
-        withExec(cfg.workers, *cfg.backend, [&](util::ExecutionContext& ctx) {
+        withPool(workers, [&](util::ExecutionContext& ctx) {
           return filter.run(ctx, g, "v").surface;
         });
     EXPECT_EQ(mesh.numTriangles(), 0);
@@ -603,8 +552,8 @@ UniformGrid velocityGrid(Id3 pointDims, F&& velocity) {
 
 TEST(KernelDeterminism, AdvectionStreamlineAcrossConfigs) {
   // The work-stealing schedule must be a pure scheduling choice: every
-  // backend × pool size — and therefore every steal interleaving —
-  // byte-identical to the serial reference.
+  // pool width — and therefore every steal interleaving — byte-identical
+  // to the one-thread reference.
   const UniformGrid g = sim::makeCloverField(16);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(300);
@@ -613,11 +562,11 @@ TEST(KernelDeterminism, AdvectionStreamlineAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "velocity").streamlines;
   };
-  const PolylineSet reference = serialReference(run);
+  const PolylineSet reference = withPool(1, run);
   EXPECT_GT(reference.numLines(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -668,11 +617,11 @@ TEST(KernelDeterminism, AdvectionPathlineAcrossConfigs) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "velocity", "velocity_next").streamlines;
   };
-  const PolylineSet reference = serialReference(run);
+  const PolylineSet reference = withPool(1, run);
   EXPECT_GT(reference.numLines(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -691,11 +640,11 @@ TEST(KernelDeterminism, AdvectionDegenerateColumnGrid) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "velocity").streamlines;
   };
-  const PolylineSet reference = serialReference(run);
+  const PolylineSet reference = withPool(1, run);
   EXPECT_GT(reference.numLines(), 0);
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run), reference);
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run), reference);
   }
 }
 
@@ -712,16 +661,16 @@ TEST(KernelDeterminism, AdvectionZeroMagnitudeField) {
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "velocity");
   };
-  const ParticleAdvectionFilter::Result reference = serialReference(run);
+  const ParticleAdvectionFilter::Result reference = withPool(1, run);
   EXPECT_EQ(reference.terminated, 0);
   EXPECT_EQ(reference.totalSteps, 40 * 30);
   ASSERT_EQ(reference.streamlines.numLines(), 40);
   for (Id line = 0; line < 40; ++line) {
     ASSERT_EQ(reference.streamlines.lineSize(line), 31);
   }
-  for (const ExecConfig& cfg : execConfigs()) {
-    SCOPED_TRACE(cfg.label());
-    expectIdentical(withExec(cfg.workers, *cfg.backend, run).streamlines,
+  for (unsigned workers : poolWidths()) {
+    SCOPED_TRACE(poolLabel(workers));
+    expectIdentical(withPool(workers, run).streamlines,
                     reference.streamlines);
   }
 }
@@ -735,7 +684,7 @@ TEST(KernelDeterminism, BvhParallelBuildMatchesSerial) {
   const UniformGrid g = sim::makeCloverField(32);
   const TriangleMesh mesh = extractExternalFaces(refCtx, g, "energy").mesh;
   const Bvh serial(refCtx, mesh, /*maxLeafSize=*/4, /*parallelBuild=*/false);
-  for (unsigned workers : poolSizes()) {
+  for (unsigned workers : poolWidths()) {
     util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
     const Bvh parallel(ctx, mesh, /*maxLeafSize=*/4, /*parallelBuild=*/true);

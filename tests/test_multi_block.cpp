@@ -2,12 +2,11 @@
 //
 // The contract under test: every variable-output filter produces
 // BIT-IDENTICAL results whether it runs on the global grid or on a
-// k-slab decomposition — for every block count, ghost depth, execution
-// backend, and pool size.  The reference for every comparison is the
-// single-grid run on the serial backend with a one-thread pool, the
-// same reference test_kernel_determinism pins the backends against, so
-// the two suites compose: any (blocks, ghost, backend, pool) cell
-// equals the one canonical output.
+// k-slab decomposition — for every block count, ghost depth, and pool
+// width.  The reference for every comparison is the single-grid run on
+// a one-thread pool, the same reference test_kernel_determinism pins the
+// pool widths against, so the two suites compose: any (blocks, ghost,
+// pool) cell equals the one canonical output.
 //
 // Also pinned here: the ghost exchange is functionally load-bearing
 // (partition fills only exclusively-owned planes, so skipping the
@@ -22,8 +21,8 @@
 #include <vector>
 
 #include "core/algorithms.h"
+#include "reference_common.h"
 #include "sim/cloverleaf.h"
-#include "util/backend.h"
 #include "util/exec_context.h"
 #include "util/thread_pool.h"
 #include "viz/dataset/multi_block.h"
@@ -38,44 +37,9 @@
 namespace pviz::vis {
 namespace {
 
-template <typename F>
-auto withExec(unsigned workers, const exec::Backend& backend, F&& f) {
-  util::ThreadPool pool(workers);
-  util::ExecutionContext ctx(pool);
-  ctx.setBackend(backend);
-  return f(ctx);
-}
-
-struct ExecConfig {
-  unsigned workers;
-  const exec::Backend* backend;
-
-  std::string label() const {
-    return std::string(backend->token()) + " backend, pool " +
-           std::to_string(workers);
-  }
-};
-
-std::vector<unsigned> poolSizes() {
-  return {1u, 2u, std::max(1u, std::thread::hardware_concurrency())};
-}
-
-std::vector<ExecConfig> execConfigs() {
-  std::vector<ExecConfig> out;
-  for (unsigned workers : poolSizes()) {
-    for (const exec::Backend* backend :
-         {&exec::serialBackend(), &exec::threadedBackend()}) {
-      out.push_back({workers, backend});
-    }
-  }
-  return out;
-}
-
-/// Reference runner: serial backend, one-thread pool, single grid.
-template <typename F>
-auto serialReference(F&& f) {
-  return withExec(1, exec::serialBackend(), std::forward<F>(f));
-}
+using reftest::poolLabel;
+using reftest::poolWidths;
+using reftest::withPool;
 
 /// The decomposition matrix the golden tests sweep.
 const vis::Id kBlockCounts[] = {1, 2, 4, 8};
@@ -86,11 +50,11 @@ std::string domainLabel(Id blocks, Id ghost) {
          std::to_string(ghost);
 }
 
-/// Partition + exchange + run `f(ctx, domain)` under one exec config.
+/// Partition + exchange + run `f(ctx, domain)` on a pool of `workers`.
 template <typename F>
-auto withDomain(const ExecConfig& cfg, const UniformGrid& g, Id blocks,
-                Id ghost, F&& f) {
-  return withExec(cfg.workers, *cfg.backend, [&](util::ExecutionContext& ctx) {
+auto withDomain(unsigned workers, const UniformGrid& g, Id blocks, Id ghost,
+                F&& f) {
+  return withPool(workers, [&](util::ExecutionContext& ctx) {
     MultiBlockGrid domain = MultiBlockGrid::partition(g, blocks, ghost);
     domain.exchangeGhosts(ctx);
     return f(ctx, domain);
@@ -270,16 +234,16 @@ TEST(MultiBlockDeterminism, ContourAcrossBlocksGhostsAndConfigs) {
   ContourFilter filter;
   filter.setIsovalues(ContourFilter::uniformIsovalues(g.field("energy"), 3));
   const TriangleMesh reference =
-      serialReference([&](util::ExecutionContext& ctx) {
+      withPool(1, [&](util::ExecutionContext& ctx) {
         return filter.run(ctx, g, "energy").surface;
       });
   EXPECT_GT(reference.numTriangles(), 0);
   for (Id blocks : kBlockCounts) {
     for (Id ghost : kGhostDepths) {
-      for (const ExecConfig& cfg : execConfigs()) {
-        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + cfg.label());
+      for (unsigned workers : poolWidths()) {
+        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + poolLabel(workers));
         const auto result =
-            withDomain(cfg, g, blocks, ghost,
+            withDomain(workers, g, blocks, ghost,
                        [&](util::ExecutionContext& ctx, MultiBlockGrid& d) {
                          return runContour(ctx, d, filter, "energy");
                        });
@@ -297,16 +261,16 @@ TEST(MultiBlockDeterminism, ThresholdAcrossBlocksGhostsAndConfigs) {
   ThresholdFilter filter;
   filter.setRange(1.2, 2.2);
   const HexSubset reference =
-      serialReference([&](util::ExecutionContext& ctx) {
+      withPool(1, [&](util::ExecutionContext& ctx) {
         return filter.run(ctx, g, "energy").kept;
       });
   EXPECT_GT(reference.numCells(), 0);
   for (Id blocks : kBlockCounts) {
     for (Id ghost : kGhostDepths) {
-      for (const ExecConfig& cfg : execConfigs()) {
-        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + cfg.label());
+      for (unsigned workers : poolWidths()) {
+        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + poolLabel(workers));
         expectIdentical(
-            withDomain(cfg, g, blocks, ghost,
+            withDomain(workers, g, blocks, ghost,
                        [&](util::ExecutionContext& ctx, MultiBlockGrid& d) {
                          return runThreshold(ctx, d, filter, "energy").kept;
                        }),
@@ -320,16 +284,16 @@ TEST(MultiBlockDeterminism, ClipSphereAcrossBlocksGhostsAndConfigs) {
   const UniformGrid g = sim::makeCloverField(16);
   ClipSphereFilter filter;
   filter.setSphere(g.bounds().center(), 0.3);
-  const auto reference = serialReference([&](util::ExecutionContext& ctx) {
+  const auto reference = withPool(1, [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "energy").clipped;
   });
   EXPECT_GT(reference.cellsCut, 0);
   for (Id blocks : kBlockCounts) {
     for (Id ghost : kGhostDepths) {
-      for (const ExecConfig& cfg : execConfigs()) {
-        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + cfg.label());
+      for (unsigned workers : poolWidths()) {
+        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + poolLabel(workers));
         const auto clipped =
-            withDomain(cfg, g, blocks, ghost,
+            withDomain(workers, g, blocks, ghost,
                        [&](util::ExecutionContext& ctx, MultiBlockGrid& d) {
                          return runClipSphere(ctx, d, filter, "energy").clipped;
                        });
@@ -347,16 +311,16 @@ TEST(MultiBlockDeterminism, IsovolumeAcrossBlocksGhostsAndConfigs) {
   const UniformGrid g = sim::makeCloverField(16);
   IsovolumeFilter filter;
   filter.setRange(1.3, 2.1);
-  const auto reference = serialReference([&](util::ExecutionContext& ctx) {
+  const auto reference = withPool(1, [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "energy");
   });
   EXPECT_GT(reference.cutPieces.numTets(), 0);
   for (Id blocks : kBlockCounts) {
     for (Id ghost : kGhostDepths) {
-      for (const ExecConfig& cfg : execConfigs()) {
-        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + cfg.label());
+      for (unsigned workers : poolWidths()) {
+        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + poolLabel(workers));
         const auto result =
-            withDomain(cfg, g, blocks, ghost,
+            withDomain(workers, g, blocks, ghost,
                        [&](util::ExecutionContext& ctx, MultiBlockGrid& d) {
                          return runIsovolume(ctx, d, filter, "energy");
                        });
@@ -371,16 +335,16 @@ TEST(MultiBlockDeterminism, SliceAcrossBlocksGhostsAndConfigs) {
   const UniformGrid g = sim::makeCloverField(16);
   SliceFilter filter;  // default three axis planes through the center
   const TriangleMesh reference =
-      serialReference([&](util::ExecutionContext& ctx) {
+      withPool(1, [&](util::ExecutionContext& ctx) {
         return filter.run(ctx, g, "energy").surface;
       });
   EXPECT_GT(reference.numTriangles(), 0);
   for (Id blocks : kBlockCounts) {
     for (Id ghost : kGhostDepths) {
-      for (const ExecConfig& cfg : execConfigs()) {
-        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + cfg.label());
+      for (unsigned workers : poolWidths()) {
+        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + poolLabel(workers));
         expectIdentical(
-            withDomain(cfg, g, blocks, ghost,
+            withDomain(workers, g, blocks, ghost,
                        [&](util::ExecutionContext& ctx, MultiBlockGrid& d) {
                          return runSlice(ctx, d, filter, "energy").surface;
                        }),
@@ -397,15 +361,15 @@ TEST(MultiBlockDeterminism, AdvectionViaStitchedGrid) {
   filter.setMaxSteps(80);
   filter.setStepLength(0.01);
   const PolylineSet reference =
-      serialReference([&](util::ExecutionContext& ctx) {
+      withPool(1, [&](util::ExecutionContext& ctx) {
         return filter.run(ctx, g, "velocity").streamlines;
       });
   EXPECT_GT(reference.numLines(), 0);
   for (Id blocks : {Id{2}, Id{4}, Id{8}}) {
-    for (const ExecConfig& cfg : execConfigs()) {
-      SCOPED_TRACE(domainLabel(blocks, 1) + ", " + cfg.label());
+    for (unsigned workers : poolWidths()) {
+      SCOPED_TRACE(domainLabel(blocks, 1) + ", " + poolLabel(workers));
       expectIdentical(
-          withDomain(cfg, g, blocks, 1,
+          withDomain(workers, g, blocks, 1,
                      [&](util::ExecutionContext& ctx, MultiBlockGrid& d) {
                        return runParticleAdvection(ctx, d, filter, "velocity")
                            .streamlines;
@@ -427,7 +391,7 @@ TEST(MultiBlockDeterminism, DegenerateColumnGrid) {
   contour.setIsovalues({0.0});
   ThresholdFilter threshold;
   threshold.setRange(-20.0, 20.0);
-  const auto reference = serialReference([&](util::ExecutionContext& ctx) {
+  const auto reference = withPool(1, [&](util::ExecutionContext& ctx) {
     return std::make_pair(contour.run(ctx, g, "v").surface,
                           threshold.run(ctx, g, "v").kept);
   });
@@ -435,10 +399,10 @@ TEST(MultiBlockDeterminism, DegenerateColumnGrid) {
   EXPECT_GT(reference.second.numCells(), 0);
   for (Id blocks : {Id{2}, Id{8}, Id{64}}) {
     for (Id ghost : kGhostDepths) {
-      for (const ExecConfig& cfg : execConfigs()) {
-        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + cfg.label());
+      for (unsigned workers : poolWidths()) {
+        SCOPED_TRACE(domainLabel(blocks, ghost) + ", " + poolLabel(workers));
         const auto result =
-            withDomain(cfg, g, blocks, ghost,
+            withDomain(workers, g, blocks, ghost,
                        [&](util::ExecutionContext& ctx, MultiBlockGrid& d) {
                          return std::make_pair(
                              runContour(ctx, d, contour, "v").surface,

@@ -2,8 +2,10 @@
 // result-payload round trips for every operation type.
 #include <gtest/gtest.h>
 
+#include "service/engine.h"
 #include "service/protocol.h"
 #include "util/error.h"
+#include "util/exec_context.h"
 
 namespace pviz::service {
 namespace {
@@ -116,7 +118,6 @@ void expectRequestRoundTrip(const Request& request) {
   EXPECT_DOUBLE_EQ(parsed.budgetWatts, request.budgetWatts);
   EXPECT_EQ(parsed.simSteps, request.simSteps);
   EXPECT_DOUBLE_EQ(parsed.delayMs, request.delayMs);
-  EXPECT_EQ(parsed.backend, request.backend);
   EXPECT_EQ(parsed.advectSeeds, request.advectSeeds);
   EXPECT_EQ(parsed.advectSteps, request.advectSteps);
   EXPECT_EQ(parsed.advectMode, request.advectMode);
@@ -178,22 +179,37 @@ TEST(Protocol, BudgetRoundTrip) {
   expectRequestRoundTrip(request);
 }
 
-TEST(Protocol, BackendFieldRoundTrip) {
-  Request request;
-  request.op = Op::Classify;
-  request.algorithm = core::Algorithm::Contour;
-  request.size = 64;
-  request.backend = "threaded";
-  expectRequestRoundTrip(request);
-  // Empty backend (the default) is omitted from the wire form entirely.
-  Request plain;
-  plain.op = Op::Ping;
-  EXPECT_EQ(toJson(plain).find("backend"), nullptr);
-  // The backend never reaches the cache key: every backend is
-  // bit-identical, so serial and threaded must share a cache entry.
-  Request other = request;
-  other.backend = "serial";
-  EXPECT_EQ(canonicalCacheKey(request), canonicalCacheKey(other));
+TEST(Protocol, RetiredBackendFieldIsIgnored) {
+  // `backend` once chose between running a loop's chunks on the calling
+  // thread and handing them to the pool; a context's pool width is now
+  // the only parallelism setting.  The key is unknown: any value — a
+  // former token or not — parses, never reaches the wire form or the
+  // cache key, and a live engine answers the request from the entry the
+  // plain request filled.
+  EXPECT_NO_THROW(
+      requestFromJson(Json::parse(R"({"op":"ping","backend":"quantum"})")));
+  const std::string head =
+      R"({"op":"classify","algorithm":"contour","size":8,"cycles":1)";
+  const Request plain = requestFromJson(Json::parse(head + "}"));
+
+  EngineConfig config;
+  config.study.cycles = 1;
+  ServiceEngine engine(config);
+  util::ThreadPool pool(1);
+  util::ExecutionContext ctx(pool);
+  const ServiceEngine::Outcome first = engine.handle(ctx, plain);
+  EXPECT_FALSE(first.cached);
+  for (const char* backend : {"serial", "quantum"}) {
+    SCOPED_TRACE(backend);
+    const Request parsed = requestFromJson(Json::parse(
+        head + R"(,"backend":")" + backend + "\"}"));
+    EXPECT_EQ(toJson(parsed).find("backend"), nullptr);
+    EXPECT_EQ(toJson(parsed).dump(), toJson(plain).dump());
+    EXPECT_EQ(canonicalCacheKey(parsed), canonicalCacheKey(plain));
+    const ServiceEngine::Outcome again = engine.handle(ctx, parsed);
+    EXPECT_TRUE(again.cached);
+    EXPECT_EQ(again.result.dump(), first.result.dump());
+  }
 }
 
 TEST(Protocol, AdvectOverridesRoundTrip) {
@@ -300,7 +316,7 @@ TEST(Protocol, BlockOverridesRoundTrip) {
 TEST(Protocol, CacheKeyCoversBlockOverrides) {
   // Outputs are bit-identical across block counts, but the *profile*
   // is not (ghost-exchange / block-stitch phases, per-block launch
-  // accounting), so blocks and ghost fork the key — unlike backend.
+  // accounting), so blocks and ghost fork the key.
   Request a;
   a.op = Op::Characterize;
   a.algorithm = core::Algorithm::Contour;
@@ -486,18 +502,6 @@ TEST(Protocol, MalformedRequestsThrow) {
   EXPECT_THROW(requestFromJson(Json::parse(
                    R"({"op":"budget","algorithm":"contour","size":32})")),
                Error);
-  // Unknown backend, including the retired "vectorized".
-  EXPECT_THROW(requestFromJson(Json::parse(
-                   R"({"op":"ping","backend":"quantum"})")),
-               Error);
-  try {
-    requestFromJson(Json::parse(R"({"op":"ping","backend":"vectorized"})"));
-    ADD_FAILURE() << "accepted backend vectorized";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown backend 'vectorized'"),
-              std::string::npos)
-        << e.what();
-  }
   // Not an object at all.
   EXPECT_THROW(requestFromJson(Json::parse("[1,2,3]")), Error);
 }

@@ -14,9 +14,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/algorithms.h"
@@ -713,24 +715,22 @@ TEST(ServiceServer, ServeBinaryDrainsOnSigint) {
   close(outPipe[0]);
 }
 
-// Run the serve binary with `flag value`, which it must reject before
-// binding anything: exit status 2, a usage line naming the flag and
-// the range on stderr, no listening banner.  A child still running
-// after 10 s is killed and fails the test.
-void expectServeRejects(const char* flag, const char* value,
-                        const std::string& range) {
-  SCOPED_TRACE(std::string(flag) + " " + value);
+// Run `argv` (argv[0] is the binary) to exit with stdout and stderr
+// captured; returns the exit status (-1 if it did not exit normally)
+// and the output.  A child still running after 10 s is killed and fails
+// the test.
+std::pair<int, std::string> runToExit(std::vector<const char*> argv) {
+  argv.push_back(nullptr);
   int outPipe[2];
-  ASSERT_EQ(pipe(outPipe), 0);
+  EXPECT_EQ(pipe(outPipe), 0);
   const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
+  EXPECT_GE(pid, 0);
   if (pid == 0) {
     dup2(outPipe[1], STDOUT_FILENO);
     dup2(outPipe[1], STDERR_FILENO);
     close(outPipe[0]);
     close(outPipe[1]);
-    execl(POWERVIZ_SERVE_BIN, POWERVIZ_SERVE_BIN, "--light", "--cache",
-          "none", "--quiet", flag, value, static_cast<char*>(nullptr));
+    execv(argv[0], const_cast<char* const*>(argv.data()));
     _exit(127);
   }
   close(outPipe[1]);
@@ -745,8 +745,7 @@ void expectServeRejects(const char* flag, const char* value,
   if (done == 0) {
     kill(pid, SIGKILL);
     waitpid(pid, &status, 0);
-    close(outPipe[0]);
-    FAIL() << "server did not exit";
+    ADD_FAILURE() << argv[0] << " did not exit";
   }
   std::string output;
   char chunk[256];
@@ -755,8 +754,19 @@ void expectServeRejects(const char* flag, const char* value,
     output.append(chunk, static_cast<std::size_t>(n));
   }
   close(outPipe[0]);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 2);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+// Run the serve binary with `flag value`, which it must reject before
+// binding anything: exit status 2, a usage line naming the flag and
+// the range on stderr, no listening banner.
+void expectServeRejects(const char* flag, const char* value,
+                        const std::string& range) {
+  SCOPED_TRACE(std::string(flag) + " " + value);
+  const auto [status, output] =
+      runToExit({POWERVIZ_SERVE_BIN, "--light", "--cache", "none", "--quiet",
+                 flag, value});
+  EXPECT_EQ(status, 2);
   EXPECT_NE(output.find(std::string(flag) + " must be an integer in " +
                         range + ", got '" + value + "'"),
             std::string::npos)
@@ -774,6 +784,56 @@ TEST(ServiceServer, ServeBinaryRejectsOutOfRangeFlags) {
   expectServeRejects("--workers", "x", "[1, 256]");
 }
 #endif  // POWERVIZ_SERVE_BIN
+
+#ifdef POWERVIZ_LOADGEN_BIN
+// The load generator rejects a bad flag before it starts any server or
+// client: exit status 2, the error, and a usage line.  Only rejects are
+// run here — the generator is never started with a real load.
+void expectLoadgenRejects(std::initializer_list<const char*> args,
+                          const std::string& message) {
+  std::vector<const char*> argv{POWERVIZ_LOADGEN_BIN};
+  std::string label;
+  for (const char* arg : args) {
+    argv.push_back(arg);
+    label += std::string(arg) + " ";
+  }
+  SCOPED_TRACE(label);
+  const auto [status, output] = runToExit(argv);
+  EXPECT_EQ(status, 2);
+  EXPECT_NE(output.find(message), std::string::npos) << output;
+  EXPECT_NE(output.find("usage: service_loadgen"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("terminate called"), std::string::npos) << output;
+}
+
+TEST(ServiceLoadgen, RejectsBadFlags) {
+  expectLoadgenRejects({"--port", "abc"},
+                       "--port must be an integer in [0, 65535], got 'abc'");
+  expectLoadgenRejects({"--port", "65536"}, "[0, 65535]");
+  expectLoadgenRejects({"--clients", "0"}, "--clients must be an integer in "
+                                           "[1, 256], got '0'");
+  expectLoadgenRejects({"--clients", "257"}, "[1, 256]");
+  expectLoadgenRejects({"--requests", "0"}, "--requests must be an integer");
+  expectLoadgenRejects({"--requests", "2147483648"},
+                       "--requests must be an integer");
+  expectLoadgenRejects({"--fleet", "65"}, "--fleet must be an integer in "
+                                          "[0, 64], got '65'");
+  expectLoadgenRejects({"--fleet", "-1"}, "[0, 64]");
+  expectLoadgenRejects({"--port"}, "--port needs a value");
+  expectLoadgenRejects({"--bogus"}, "unknown option '--bogus'");
+}
+
+TEST(ServiceLoadgen, RejectsBadEnvironmentKnobs) {
+  // A knob the generator cannot use would otherwise run no load at all
+  // (0 clients) and still exit 0.
+  for (const char* knob : {"PVIZ_LOADGEN_CLIENTS", "PVIZ_LOADGEN_REQUESTS",
+                           "PVIZ_LOADGEN_SIZE"}) {
+    ASSERT_EQ(setenv(knob, "0", 1), 0);
+    expectLoadgenRejects({}, std::string(knob) + " must be an integer in [1, ");
+    ASSERT_EQ(unsetenv(knob), 0);
+  }
+}
+#endif  // POWERVIZ_LOADGEN_BIN
 
 }  // namespace
 }  // namespace pviz::service

@@ -209,11 +209,10 @@ void expectMatchesReferenceOnEveryConfig(Id3 cells) {
   ASSERT_GT(want.numCells(), 0);
   ThresholdFilter filter;
   filter.setRange(lo, hi);
-  for (const reftest::ExecConfig& config : reftest::execConfigs()) {
-    SCOPED_TRACE(config.label());
-    util::ThreadPool pool(config.workers);
+  for (unsigned workers : reftest::poolWidths()) {
+    SCOPED_TRACE(reftest::poolLabel(workers));
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*config.backend);
     const HexSubset got = filter.run(ctx, g, "w").kept;
     EXPECT_EQ(got.cellIds, want.cellIds);
     EXPECT_TRUE(reftest::sameBits(got.cellScalars, want.cellScalars));

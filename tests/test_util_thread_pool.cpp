@@ -1,10 +1,13 @@
 // Thread pool and parallel-primitive tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/exec_context.h"
@@ -37,11 +40,52 @@ TEST(ThreadPool, VisitsEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, EmptyRangeIsANoop) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.parallelFor(5, 5, 16, [&](std::int64_t, std::int64_t) { ++calls; });
-  pool.parallelFor(7, 3, 16, [&](std::int64_t, std::int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
+  for (unsigned workers : {1u, 2u}) {
+    ThreadPool pool(workers);
+    int calls = 0;
+    pool.parallelFor(5, 5, 16, [&](std::int64_t, std::int64_t) { ++calls; });
+    pool.parallelFor(7, 3, 16, [&](std::int64_t, std::int64_t) { ++calls; });
+    EXPECT_EQ(calls, 0) << "pool " << workers;
+  }
+}
+
+TEST(ThreadPool, ChunksAreGrainAlignedOnEveryWidth) {
+  // Every chunk is [begin + n·grain, min(end, begin + (n+1)·grain)), each
+  // exactly once — on a one-thread pool (inline), on a wider pool, and
+  // for a loop nested inside another (inline on the worker).
+  constexpr std::int64_t kBegin = 3;
+  constexpr std::int64_t kEnd = 10'003;
+  constexpr std::int64_t kGrain = 128;
+  constexpr std::int64_t kChunks = (kEnd - kBegin + kGrain - 1) / kGrain;
+  const auto expectChunks = [&](const std::vector<std::int64_t>& starts) {
+    ASSERT_EQ(static_cast<std::int64_t>(starts.size()), kChunks);
+    for (std::int64_t n = 0; n < kChunks; ++n) {
+      EXPECT_EQ(starts[static_cast<std::size_t>(n)], kBegin + n * kGrain);
+    }
+  };
+  const auto recordChunks = [&](ThreadPool& pool) {
+    std::mutex mutex;
+    std::vector<std::int64_t> starts;
+    pool.parallelFor(kBegin, kEnd, kGrain, [&](std::int64_t b,
+                                               std::int64_t e) {
+      EXPECT_EQ(e, std::min(b + kGrain, kEnd));
+      std::lock_guard lock(mutex);
+      starts.push_back(b);
+    });
+    std::sort(starts.begin(), starts.end());
+    return starts;
+  };
+  for (unsigned workers : {1u, 2u}) {
+    SCOPED_TRACE("pool " + std::to_string(workers));
+    ThreadPool pool(workers);
+    expectChunks(recordChunks(pool));
+    std::vector<std::int64_t> nested[2];
+    pool.parallelFor(0, 2, 1, [&](std::int64_t b, std::int64_t) {
+      nested[b] = recordChunks(pool);
+    });
+    expectChunks(nested[0]);
+    expectChunks(nested[1]);
+  }
 }
 
 TEST(ThreadPool, RejectsNonPositiveGrain) {

@@ -168,11 +168,10 @@ void expectMatchesReferenceOnEveryConfig(const UniformGrid& grid,
   renderer.setSamplesAcross(c.samplesAcross);
   renderer.setColorTable(c.colors);
   renderer.setKeepFirstImageOnly(false);
-  for (const reftest::ExecConfig& config : reftest::execConfigs()) {
-    SCOPED_TRACE(config.label());
-    util::ThreadPool pool(config.workers);
+  for (unsigned workers : reftest::poolWidths()) {
+    SCOPED_TRACE(reftest::poolLabel(workers));
+    util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(*config.backend);
     const VolumeRenderer::Result got = renderer.run(ctx, grid, fieldName);
     EXPECT_EQ(got.samplesTaken, want.samplesTaken);
     ASSERT_EQ(got.images.size(), want.images.size());

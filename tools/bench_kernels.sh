@@ -119,9 +119,10 @@ doc["speedup"] = {
     k: round(base[k] / cur[k], 3) for k in sorted(base) if k in cur and cur[k] > 0
 }
 
-# Per-backend columns: fold BM_<Kernel>Backend/<backend>/<size> rows into
-# one table row per (kernel, size).  Both backends run the same inner
-# loops, so serial vs threaded is the dispatch's parallel speedup.
+# Per-width columns: fold BM_<Kernel>Backend/<serial|threaded>/<size> rows
+# into one table row per (kernel, size).  `serial` runs on a one-thread
+# pool and `threaded` on the hardware-width pool, over the same chunks
+# and inner loops, so serial vs threaded is the pool's parallel speedup.
 backends = {}
 for name, ms in cur.items():
     parts = name.split("/")

@@ -79,11 +79,6 @@ tracing / telemetry:
   --trace                   ask the server for a Chrome-trace span dump
                             of this request (response `trace` field)
   --trace-out PATH          write that dump to PATH (Perfetto-loadable)
-  --backend NAME            execution backend for this request on the
-                            server: serial | threaded
-                            (default: the server's own default; never
-                            part of the result-cache key — backends are
-                            bit-identical)
 
 algorithms: contour threshold clip isovolume slice advection raytracing
 volume (or "all")
@@ -247,7 +242,6 @@ int main(int argc, char** argv) {
         request.trace = true;
         traceOutPath = next();
       }
-      else if (arg == "--backend") request.backend = next();
       else if (arg == "--advect-seeds") request.advectSeeds = util::parseBounded(next(), "--advect-seeds", 1, 50000000);
       else if (arg == "--advect-steps") request.advectSteps = util::parseBounded(next(), "--advect-steps", 1, 10000000);
       else if (arg == "--advect-mode") request.advectMode = next();

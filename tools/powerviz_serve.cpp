@@ -59,9 +59,6 @@ options:
                       default 1024)
   --caps w,w,...      default cap sweep for classify/study requests
   --cycles N          default visualization cycles (default 10, at most 1000)
-  --backend NAME      execution backend for requests that don't name one:
-                      serial | threaded (default: the
-                      POWERVIZ_BACKEND environment default, else threaded)
   --slo-p99-ms SPEC   per-op p99 latency objectives feeding the SLO
                       burn-rate gauges and the slow-request event log.
                       SPEC is `op=ms[,op=ms...]` (e.g.
@@ -119,7 +116,6 @@ int main(int argc, char** argv) {
       else if (arg == "--result-cache") config.engine.cacheEntries = static_cast<std::size_t>(util::parseBounded(next(), "--result-cache", 0, 1 << 24));
       else if (arg == "--caps") config.engine.study.capsWatts = util::parseCapList(next());
       else if (arg == "--cycles") config.engine.study.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
-      else if (arg == "--backend") config.engine.backend = next();
       else if (arg == "--slo-p99-ms") {
         // `op=ms,op=ms` or a bare number applying to `study`.
         const std::string spec = next();

@@ -14,7 +14,6 @@
 #include "core/report.h"
 #include "core/study.h"
 #include "telemetry/trace_sink.h"
-#include "util/backend.h"
 #include "util/exec_context.h"
 #include "util/fileio.h"
 #include "util/log.h"
@@ -51,9 +50,6 @@ options:
   --cache PATH          characterization cache file (default: the
                         POWERVIZ_PROFILE_CACHE env var, else
                         pviz_profile_cache.txt; "none" disables)
-  --backend NAME        execution backend: serial | threaded
-                        (default: POWERVIZ_BACKEND, else threaded; all
-                        backends produce bit-identical results)
   --advect-seeds N      advection particle count, 1..50000000
                         (default 1000)
   --advect-steps N      advection max integration steps, 1..10000000
@@ -89,7 +85,6 @@ int main(int argc, char** argv) {
   std::vector<core::Algorithm> algorithms = core::allAlgorithms();
   int phase = 0;
   std::string csvPath;
-  std::string backendToken;
   std::string tracePath;
   std::string traceChromePath;
   std::string powerTimelinePath;
@@ -109,10 +104,6 @@ int main(int argc, char** argv) {
       else if (arg == "--cycles") config.cycles = static_cast<int>(util::parseBounded(next(), "--cycles", 1, core::kMaxCycles));
       else if (arg == "--full-render") config.params.sampledCameraCount = 0;
       else if (arg == "--csv") csvPath = next();
-      else if (arg == "--backend") {
-        backendToken = next();
-        exec::parseBackendToken(backendToken);  // reject bad names up front
-      }
       else if (arg == "--trace") tracePath = next();
       else if (arg == "--trace-chrome") traceChromePath = next();
       else if (arg == "--power-timeline") powerTimelinePath = next();
@@ -170,9 +161,6 @@ int main(int argc, char** argv) {
   // sweeps reuse the buffers the first one allocated; the tracer
   // accumulates every kernel phase.
   util::ExecutionContext ctx(util::ThreadPool::global());
-  if (!backendToken.empty()) {
-    ctx.setBackend(exec::backendFor(exec::parseBackendToken(backendToken)));
-  }
   std::vector<core::ConfigRecord> records;
   for (vis::Id size : config.sizes) {
     for (core::Algorithm algorithm : algorithms) {
